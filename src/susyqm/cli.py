@@ -416,6 +416,11 @@ def checks_maps(params: dict) -> list[dict]:
     return out
 
 
+def _worst_error(computed: list[float], exact: list[float]) -> float:
+    """Largest |computed - exact|, NaN if any entry is NaN (builtin max can drop one)."""
+    return float(np.max(np.abs(np.subtract(computed, exact)), initial=0.0))
+
+
 def checks_spectra(params: dict) -> list[dict]:
     grid = fd_oracle.Grid(params.get("grid_min", -12.0), params.get("grid_max", 12.0),
                           int(params.get("grid_points", 2001)))
@@ -427,7 +432,7 @@ def checks_spectra(params: dict) -> list[dict]:
             fd_oracle.discretize(fam, grid), below=-1e-6, max_count=l + 2)
         exact = [float(spectra.poschl_teller_energy(l, n)) for n in range(l)]
         count_ok = len(evs) == len(exact)
-        worst = max(abs(a - b) for a, b in zip(evs, exact)) if count_ok else math.inf
+        worst = _worst_error(evs, exact) if count_ok else math.inf
         out.append(check(f"fd-vs-closed-form-sech-l-{l}", worst, 0.0, tol, "fd-oracle",
                          passed=count_ok and worst <= tol))
         out.append(_exact_check(f"fd-level-count-sech-l-{l}", count_ok,
@@ -441,7 +446,7 @@ def checks_spectra(params: dict) -> list[dict]:
         levels = spectra.rosen_morse_levels(n_prime, b)
         exact = [float(spectra.rosen_morse_energy(n_prime, b, n)) for n in levels]
         count_ok = len(evs) == len(exact)
-        worst = max(abs(a - e) for a, e in zip(evs, exact)) if count_ok else math.inf
+        worst = _worst_error(evs, exact) if count_ok else math.inf
         out.append(check(f"fd-vs-closed-form-tilted-{n_prime}-{b}", worst, 0.0, tol,
                          "fd-oracle", passed=count_ok and worst <= tol))
         resid_ok = all(

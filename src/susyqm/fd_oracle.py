@@ -1,12 +1,15 @@
-"""Independent numerical verification: finite differences, Sturm bisection, scattering.
+"""Independent numerical verification: finite differences, Sturm multisection, scattering.
 
 Nothing here reuses the closed-form machinery beyond evaluating candidate
 wavefunctions pointwise, so agreement between this module and the algebraic
 results is a genuine cross-check.  Defaults: z in [-12, 12] with 2001 points
 (every sech-localized state of interest decays below 1e-10 by |z| = 12),
-Dirichlet boxes for bound states, eigenvalue bisection to 1e-10 with a
-200-iteration cap, and fixed-step classical 4th-order integration with
-h = 1e-3 for scattering.
+Dirichlet boxes for bound states, eigenvalues bracketed to 1e-10 by Sturm
+multisection (63 interior shifts per bracket and sweep, a 200-sweep cap that
+raises when exhausted), and fixed-step classical 4th-order integration with
+h = 1e-3 for scattering.  The scattering equation is linear, so each RK4 step
+is a real 2x2 matrix; the march is their ordered product, formed chunk by
+chunk with a pairwise (log-depth) reduction.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ DEFAULT_Z_MIN = -12.0
 DEFAULT_Z_MAX = 12.0
 DEFAULT_POINTS = 2001
 BISECTION_TOL = 1e-10
-BISECTION_MAX_ITER = 200
+BISECTION_MAX_ITER = 200  # multisection sweeps
+MULTISECTION_SHIFTS = 63
 SCATTER_HALF_WIDTH = 20.0
 SCATTER_STEP = 1e-3
 FLUX_TOL = 1e-6
 STEP_HALVING_TOL = 1e-7
+MARCH_CHUNK = 4096  # RK4 steps per batch of step matrices; bounds peak memory
 
 
 class NumericalError(RuntimeError):
@@ -111,11 +116,15 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
 def bound_state_eigenvalues(op: TridiagonalOperator, below: float,
                             max_count: int, tol: float = BISECTION_TOL,
                             max_iter: int = BISECTION_MAX_ITER) -> list[float]:
-    """All eigenvalues below a threshold, by bisection on the Sturm count.
+    """All eigenvalues below a threshold, by multisection on the Sturm count.
 
-    Each eigenvalue is bracketed to `tol`; results are ascending and
-    deterministic.  Finding more than max_count eigenvalues raises instead of
-    silently truncating.
+    Every sweep splits each bracket at MULTISECTION_SHIFTS interior shifts,
+    counted in one vectorized pass, and keeps the sub-interval where the count
+    first reaches the bracket's index (Barth, Martin & Wilkinson 1967).  Each
+    eigenvalue is bracketed to `tol`, or to two ulps where `tol` is below the
+    float spacing; results are ascending and deterministic.  Finding more than
+    max_count eigenvalues, or needing more than max_iter sweeps, raises
+    instead of returning an unconverged answer.
     """
     d = op.diagonal
     e = op.off_diagonal
@@ -137,15 +146,30 @@ def bound_state_eigenvalues(op: TridiagonalOperator, below: float,
 
     los = np.full(total, lower)
     his = np.full(total, upper)
-    wanted = np.arange(1, total + 1)
-    for _ in range(max_iter):
-        if np.all(his - los <= tol):
-            break
-        mids = 0.5 * (los + his)
-        reached = _counts_below(d, e2, mids, pivmin) >= wanted
-        his = np.where(reached, mids, his)
-        los = np.where(reached, los, mids)
-    return [float(x) for x in 0.5 * (los + his)]
+    wanted = np.arange(1, total + 1)[:, None]
+    fractions = np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)
+    rows = np.arange(total)
+    for sweep in range(max_iter + 1):
+        width = his - los
+        floor = 2.0 * np.spacing(np.maximum(np.abs(los), np.abs(his)))
+        if np.all(width <= np.maximum(tol, floor)):
+            return [float(x) for x in 0.5 * (los + his)]
+        if sweep == max_iter:
+            raise NumericalError(
+                f"eigenvalue brackets did not reach {tol:.1e} in {max_iter} multisection "
+                f"sweeps; widest is {float(np.max(width)):.3e}"
+            )
+        # edges[:, j] for j = 0..S+1 run from lo through the S shifts to hi
+        edges = np.empty((total, MULTISECTION_SHIFTS + 2))
+        edges[:, 0] = los
+        edges[:, 1:-1] = los[:, None] + width[:, None] * fractions
+        edges[:, -1] = his
+        counts = _counts_below(d, e2, edges[:, 1:-1].ravel(), pivmin).reshape(total, -1)
+        # the count at hi always reaches the index, so argmax finds a True
+        reached = np.concatenate((counts >= wanted, np.ones((total, 1), bool)), axis=1)
+        first = np.argmax(reached, axis=1)
+        los = edges[rows, first]
+        his = edges[rows, first + 1]
 
 
 def grid_residual(w: HypWave, fam: PotentialFamily, E: float, grid: Grid) -> float:
@@ -196,7 +220,7 @@ def _symmetric_asymptote(fam: PotentialFamily, half_width: float) -> float:
 
     tails = potential_values(fam, np.array([-half_width, half_width]))
     defect = float(np.max(np.abs(tails - v_inf)))
-    if defect > 1e-10:
+    if not (defect <= 1e-10):
         raise NumericalError(
             f"potential has not decayed at |z| = {half_width}: |V - V_inf| = {defect:.3e}; "
             "increase the half width"
@@ -204,36 +228,67 @@ def _symmetric_asymptote(fam: PotentialFamily, half_width: float) -> float:
     return v_inf
 
 
+def _rk4_step_deltas(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray,
+                     s: float) -> np.ndarray:
+    """D_j = M_j - I, where (psi, psi')_{j+1} = M_j (psi, psi')_j is one RK4 step.
+
+    For y' = A(z) y with A = [[0, 1], [v, 0]], the four classical stages
+    compose to M = I + s/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0,
+    K2 = A1 (I + s/2 K1), K3 = A1 (I + s/2 K2), K4 = A2 (I + s K3); v0, v1,
+    v2 are V - E at the start, middle and end of each step.  Storing M - I
+    keeps the O(s^2) diagonal entries at full precision: rounding 1 + O(s^2)
+    would repeat the same error at every step of a constant tail.
+    """
+    s2 = s * s
+    d = np.empty((v0.shape[0], 2, 2))
+    d[:, 0, 0] = s2 * (v0 + 2.0 * v1) / 6.0 + s2 * s2 * v0 * v1 / 24.0
+    d[:, 0, 1] = s + s * s2 * v1 / 6.0
+    d[:, 1, 0] = s * (v0 + 4.0 * v1 + v2) / 6.0 + s * s2 * v1 * (v0 + v2) / 12.0
+    d[:, 1, 1] = s2 * (2.0 * v1 + v2) / 6.0 + s2 * s2 * v1 * v2 / 24.0
+    return d
+
+
+def _ordered_product_delta(d: np.ndarray) -> np.ndarray:
+    """(I + d[-1]) ... (I + d[1]) (I + d[0]) - I, by pairwise reduction.
+
+    Each level merges neighbours as (I + b)(I + a) - I = a + b + b a, so the
+    depth is log2(len(d)) and the result stays in difference form.
+    """
+    while d.shape[0] > 1:
+        a = d[0:d.shape[0] - 1:2]
+        b = d[1::2]
+        merged = a + b + b @ a
+        d = np.concatenate((merged, d[-1:])) if d.shape[0] % 2 else merged
+    return d[0]
+
+
 def _integrate_scattering(fam: PotentialFamily, k: float, energy: float,
                           half_width: float, n_steps: int) -> tuple[complex, complex]:
     """March psi'' = (V - E) psi from +L to -L, transmitted plane wave as seed.
 
     Classical fixed-step 4th-order scheme; potential values are precomputed on
-    the half-step lattice.  Returns (A, B), the incident and reflected
-    amplitudes for unit transmission.
+    the half-step lattice.  The equation is linear, so the march is the
+    ordered product of the real RK4 step matrices, taken MARCH_CHUNK steps at
+    a time and folded into a running 2x2 product.  Returns (A, B), the
+    incident and reflected amplitudes for unit transmission.
     """
     zs = np.linspace(half_width, -half_width, 2 * n_steps + 1)
-    v_shift = (potential_values(fam, zs) - energy).tolist()
+    v_shift = potential_values(fam, zs) - energy
     s = -2.0 * half_width / n_steps
-    psi = cmath.exp(1j * k * half_width)
-    dpsi = 1j * k * psi
-    half_s = 0.5 * s
-    sixth_s = s / 6.0
-    for j in range(n_steps):
-        v0 = v_shift[2 * j]
-        v1 = v_shift[2 * j + 1]
-        v2 = v_shift[2 * j + 2]
-        k1p = dpsi
-        k1d = v0 * psi
-        k2p = dpsi + half_s * k1d
-        k2d = v1 * (psi + half_s * k1p)
-        k3p = dpsi + half_s * k2d
-        k3d = v1 * (psi + half_s * k2p)
-        k4p = dpsi + s * k3d
-        k4d = v2 * (psi + s * k3p)
-        psi = psi + sixth_s * (k1p + 2.0 * (k2p + k3p) + k4p)
-        dpsi = dpsi + sixth_s * (k1d + 2.0 * (k2d + k3d) + k4d)
+    total = np.eye(2)
+    for start in range(0, n_steps, MARCH_CHUNK):
+        stop = min(start + MARCH_CHUNK, n_steps)
+        deltas = _rk4_step_deltas(v_shift[2 * start:2 * stop:2],
+                                  v_shift[2 * start + 1:2 * stop:2],
+                                  v_shift[2 * start + 2:2 * stop + 1:2], s)
+        total = total + _ordered_product_delta(deltas) @ total
+    # Python scalars from here on, so results and the records built from
+    # them hold floats and bools rather than numpy scalars
+    (p00, p01), (p10, p11) = total.tolist()
     phase = cmath.exp(1j * k * half_width)
+    dphase = 1j * k * phase  # the transmitted wave e^{ikz} and its slope at z = L
+    psi = p00 * phase + p01 * dphase
+    dpsi = p10 * phase + p11 * dphase
     a = 0.5 * (psi + dpsi / (1j * k)) * phase
     b = 0.5 * (psi - dpsi / (1j * k)) / phase
     return a, b
@@ -251,15 +306,24 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
     Violations raise NumericalError with diagnostics.
     """
     k = float(k)
-    if k <= 0.0:
-        raise ValueError("wavenumber must be positive")
+    if not (0.0 < k < math.inf):
+        raise ValueError(f"wavenumber must be positive and finite, got {k!r}")
     v_inf = _symmetric_asymptote(fam, half_width)
     energy = k * k + v_inf
 
     def run(n_steps: int) -> ScatteringResult:
         a, b = _integrate_scattering(fam, k, energy, half_width, n_steps)
-        a2 = abs(a) ** 2
-        r2 = abs(b) ** 2 / a2
+        try:
+            a2 = abs(a) ** 2
+            b2 = abs(b) ** 2
+        except OverflowError:
+            a2 = b2 = math.inf
+        if not (0.0 < a2 < math.inf and b2 < math.inf):
+            raise NumericalError(
+                f"|A|^2 and |B|^2 are not finite doubles at k = {k!r}: "
+                f"|A| = {abs(a):.3e}, |B| = {abs(b):.3e}"
+            )
+        r2 = b2 / a2
         t2 = 1.0 / a2
         return ScatteringResult(k=k, r2=r2, t2=t2, flux_defect=1.0 - (r2 + t2),
                                 half_width=half_width, step=2.0 * half_width / n_steps)
@@ -270,13 +334,13 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
     if check_step_halving:
         fine = run(2 * n_steps)
         drift = abs(fine.r2 - coarse.r2)
-        if drift > STEP_HALVING_TOL:
+        if not (drift <= STEP_HALVING_TOL):
             raise NumericalError(
                 f"step-halving check failed: |R|^2 moved by {drift:.3e} "
                 f"between h = {coarse.step:.2e} and h = {fine.step:.2e}"
             )
         result = fine
-    if abs(result.flux_defect) > FLUX_TOL:
+    if not (abs(result.flux_defect) <= FLUX_TOL):
         raise NumericalError(
             f"flux conservation violated: 1 - (|R|^2 + |T|^2) = {result.flux_defect:.3e}"
         )

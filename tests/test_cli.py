@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from susyqm import cli, fd_oracle
 from susyqm.cli import (
     CONFIG_ENV_VAR, Command, execute_command, load_config, main, parse_command,
     render_csv, render_json,
@@ -71,6 +73,40 @@ def test_numerical_failure_exits_3(capsys):
                         "--B", "1/2", "--k", "1"], capsys)
     assert code == 3
     assert "asymmetric" in err or "asymptote" in err
+
+
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_scatter_non_finite_wavenumber_exits_2(k, capsys):
+    code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "3/2",
+                          "--k", k], capsys)
+    assert code == 2
+    assert out == ""
+    assert "wavenumber" in err
+
+
+@pytest.mark.parametrize("k", ["1e-300", "1e-200"])
+def test_scatter_overflowing_amplitude_exits_3(k, capsys):
+    # the incident amplitude grows like 1/k and |A|^2 overflows a double
+    code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "3/2",
+                          "--k", k], capsys)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_checks_spectra_nan_level_fails(monkeypatch):
+    # a NaN after the first level is the case the builtin max() silently drops
+    real = fd_oracle.bound_state_eigenvalues
+
+    def last_level_nan(*args, **kwargs):
+        return real(*args, **kwargs)[:-1] + [math.nan]
+
+    monkeypatch.setattr(fd_oracle, "bound_state_eigenvalues", last_level_nan)
+    fd_checks = [c for c in cli.checks_spectra({})
+                 if c["id"].startswith("fd-vs-closed-form")]
+    assert len(fd_checks) == 8
+    assert not any(c["pass"] for c in fd_checks)
+    assert all(math.isnan(c["computed"]) for c in fd_checks)
 
 
 def test_spectrum_exits_0(capsys):

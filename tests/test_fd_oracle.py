@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,13 +8,19 @@ import pytest
 from susyqm import (
     CustomPotential, GammaDeformed, Grid, HypWave, NumericalError, PoschlTeller,
     RosenMorseII, TanhPoly, TridiagonalOperator, bound_state_eigenvalues,
-    discretize, grid_residual, poschl_teller_energy, reflection_coefficient,
-    rosen_morse_energy, rosen_morse_eigenfunction, rosen_morse_levels,
-    scattering_amplitudes, sech_well_reflection_exact, sturm_count,
+    discretize, fd_oracle, grid_residual, poschl_teller_energy, potential_values,
+    reflection_coefficient, rosen_morse_energy, rosen_morse_eigenfunction,
+    rosen_morse_levels, scattering_amplitudes, sech_well_reflection_exact,
+    sturm_count,
 )
 
 GRID = Grid(-12.0, 12.0, 2001)
 HALF = Fraction(1, 2)
+# the eight families of `verify spectra`, with their search ceilings
+TILTED = [RosenMorseII(n, b) for n, b in ((Fraction(2), HALF), (Fraction(3), Fraction(1)),
+                                          (Fraction(5, 2), HALF))]
+SPECTRA_FAMILIES = ([(PoschlTeller(l), -1e-6, l + 2) for l in range(1, 6)]
+                    + [(fam, fam.continuum_edge - 1e-9, 8) for fam in TILTED])
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +72,7 @@ def test_discretize_custom_alignment():
 
 
 # ---------------------------------------------------------------------------
-# Sturm bisection
+# Sturm multisection
 
 
 def test_free_laplacian_has_no_negative_eigenvalues():
@@ -111,11 +118,44 @@ def test_determinism_bit_identical():
 def test_sturm_matches_scipy():
     from scipy.linalg import eigh_tridiagonal
 
-    op = discretize(RosenMorseII(3, 1), GRID)
-    ours = bound_state_eigenvalues(op, below=10.0 - 1e-9, max_count=6)
-    ref = eigh_tridiagonal(op.diagonal, op.off_diagonal,
-                           select="v", select_range=(-1e6, 10.0 - 1e-9))[0]
-    assert np.max(np.abs(np.asarray(ours) - ref)) <= 1e-9
+    for fam, below, max_count in SPECTRA_FAMILIES:
+        op = discretize(fam, GRID)
+        ours = bound_state_eigenvalues(op, below=below, max_count=max_count)
+        ref = eigh_tridiagonal(op.diagonal, op.off_diagonal,
+                               select="v", select_range=(-1e6, below))[0]
+        assert len(ours) == len(ref) > 0
+        assert np.max(np.abs(np.asarray(ours) - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("index", [0, 4, 7])
+def test_eigenvalues_are_bracketed_by_sturm_counts(index):
+    fam, below, max_count = SPECTRA_FAMILIES[index]
+    op = discretize(fam, GRID)
+    tol = fd_oracle.BISECTION_TOL
+    for n, ev in enumerate(bound_state_eigenvalues(op, below, max_count)):
+        assert sturm_count(op, ev - tol) == n
+        assert sturm_count(op, ev + tol) == n + 1
+
+
+def test_exhausted_sweep_cap_raises():
+    op = discretize(PoschlTeller(3), GRID)
+    for max_iter in (0, 1, 5):
+        with pytest.raises(NumericalError, match="multisection"):
+            bound_state_eigenvalues(op, below=-1e-6, max_count=5, max_iter=max_iter)
+    # the first bracket, [-12, 0], needs seven sweeps of 64 sub-intervals to reach 1e-10
+    assert len(bound_state_eigenvalues(op, below=-1e-6, max_count=5, max_iter=7)) == 3
+
+
+def test_tolerance_below_float_spacing_converges():
+    from scipy.linalg import eigh_tridiagonal
+
+    # near -2e7 neighbouring doubles are 3.7e-9 apart, wider than the 1e-10 tol
+    op = TridiagonalOperator(np.array([-2e7, -1e7, 5.0]), np.array([1e-3, 1e-3]))
+    ref = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True)[:2]
+    evs = bound_state_eigenvalues(op, below=0.0, max_count=3)
+    assert len(evs) == 2
+    for ev, exact in zip(evs, ref):
+        assert abs(ev - exact) <= 2.0 * np.spacing(abs(exact))
 
 
 def test_grid_convergence_is_second_order():
@@ -211,11 +251,54 @@ def test_scatter_rejects_asymmetric_tails():
 def test_scatter_rejects_undecayed_window():
     with pytest.raises(NumericalError):
         reflection_coefficient(PoschlTeller(1), 1.0, half_width=3.0)
+    with pytest.raises(NumericalError):
+        reflection_coefficient(PoschlTeller(1), 1.0, half_width=math.nan)
 
 
 def test_scatter_rejects_bad_wavenumber():
-    with pytest.raises(ValueError):
-        reflection_coefficient(PoschlTeller(1), -1.0)
+    for k in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            reflection_coefficient(PoschlTeller(1), k)
+
+
+def test_scatter_overflowing_amplitude_is_numerical_error():
+    with pytest.raises(NumericalError, match="not finite doubles"):
+        scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1e-300)
+
+
+def _sequential_march(fam, k, energy, half_width, n_steps):
+    """Reference: the classical RK4 march one step at a time on complex scalars."""
+    zs = np.linspace(half_width, -half_width, 2 * n_steps + 1)
+    v_shift = (potential_values(fam, zs) - energy).tolist()
+    s = -2.0 * half_width / n_steps
+    psi = cmath.exp(1j * k * half_width)
+    dpsi = 1j * k * psi
+    for j in range(n_steps):
+        v0, v1, v2 = v_shift[2 * j], v_shift[2 * j + 1], v_shift[2 * j + 2]
+        k1p, k1d = dpsi, v0 * psi
+        k2p, k2d = dpsi + 0.5 * s * k1d, v1 * (psi + 0.5 * s * k1p)
+        k3p, k3d = dpsi + 0.5 * s * k2d, v1 * (psi + 0.5 * s * k2p)
+        k4p, k4d = dpsi + s * k3d, v2 * (psi + s * k3p)
+        psi = psi + s / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        dpsi = dpsi + s / 6.0 * (k1d + 2.0 * (k2d + k3d) + k4d)
+    phase = cmath.exp(1j * k * half_width)
+    a = 0.5 * (psi + dpsi / (1j * k)) * phase
+    b = 0.5 * (psi - dpsi / (1j * k)) / phase
+    return a, b
+
+
+@pytest.mark.parametrize("n_steps", [fd_oracle.MARCH_CHUNK + 1, 40001])
+@pytest.mark.parametrize("fam,k", [(PoschlTeller(Fraction(3, 2)), 1.0),
+                                   (PoschlTeller(2), 0.5),
+                                   (RosenMorseII(Fraction(5, 2), 0), 2.0)])
+def test_step_matrix_march_matches_sequential_rk4(fam, k, n_steps):
+    energy = k * k + (float(fam.n_prime * (fam.n_prime + 1))
+                      if isinstance(fam, RosenMorseII) else 0.0)
+    a, b = fd_oracle._integrate_scattering(fam, k, energy, 20.0, n_steps)
+    a_ref, b_ref = _sequential_march(fam, k, energy, 20.0, n_steps)
+    assert isinstance(a, complex) and isinstance(b, complex)
+    assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
+    assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
 
 
 def test_step_halving_flag_consistency():
