@@ -1,13 +1,13 @@
 """Factorization-based solver and verification suite for shape-invariant tanh/sech wells."""
 
 from .coordinate_maps import (
-    ChartDomainError, MapParams, MapPoint, chart_grid, chart_interval,
+    ChartDomainError, MapPoint, chart_grid, chart_interval,
     first_derivative_coefficient, map_point, theta_of_z, w_of_z, z_of_theta,
 )
 from .fd_oracle import (
     Grid, NumericalError, ScatteringResult, TridiagonalOperator,
-    bound_state_eigenvalues, discretize, grid_residual, reflection_coefficient,
-    scattering_amplitudes, sech_well_reflection_exact, sturm_count,
+    bound_state_eigenvalues, discretize, grid_residual, scattering_amplitudes,
+    sech_well_reflection_exact, sturm_count,
 )
 from .orthopoly import (
     ProportionalityError, assoc_legendre, check_gegenbauer_identity,
@@ -15,14 +15,13 @@ from .orthopoly import (
     proportionality_constant,
 )
 from .potentials import (
-    CustomPotential, GammaDeformed, PoschlTeller, PotentialFamily, RosenMorseII,
-    potential_values,
+    CustomPotential, PoschlTeller, PotentialFamily, RosenMorseII, potential_values,
 )
 from .spectra import (
     GegenbauerReduction, SpectrumEntry, gamma_deformed_residual,
-    gegenbauer_spectrum, poschl_teller_energy, poschl_teller_spectrum,
-    rosen_morse_eigenfunction, rosen_morse_energy, rosen_morse_levels,
-    rosen_morse_spectrum,
+    gegenbauer_spectrum, poschl_teller_energy, poschl_teller_levels,
+    poschl_teller_spectrum, rosen_morse_eigenfunction, rosen_morse_energy,
+    rosen_morse_levels, rosen_morse_spectrum,
 )
 from .susy_core import (
     ClosedFormSuperpotential, PartnerPair, SampledSuperpotential, Superpotential,
@@ -30,7 +29,7 @@ from .susy_core import (
     shape_invariance_remainder, si_level_energy,
 )
 from .tanh_algebra import (
-    HypWave, LadderParam, TanhPoly, apply_ladder, apply_lowering, as_fraction,
+    HypWave, TanhPoly, apply_ladder, apply_lowering, as_fraction,
     differentiate_z, eigen_residual_symbolic, eval_wave, eval_wave_array,
     ladder_chain,
 )

@@ -32,14 +32,15 @@ from .tanh_algebra import HypWave, eigen_residual_symbolic, eval_wave, ladder_ch
 CONFIG_ENV_VAR = "SUSYQM_CONFIG"
 
 CONFIG_DEFAULTS = {
-    "grid_min": -12.0,
-    "grid_max": 12.0,
-    "grid_points": 2001,
+    "grid_min": fd_oracle.DEFAULT_Z_MIN,
+    "grid_max": fd_oracle.DEFAULT_Z_MAX,
+    "grid_points": fd_oracle.DEFAULT_POINTS,
     "tol": 2e-3,
-    "scatter_half_width": 20.0,
-    "scatter_step": 1e-3,
+    "scatter_half_width": fd_oracle.SCATTER_HALF_WIDTH,
+    "scatter_step": fd_oracle.SCATTER_STEP,
     "format": "json",
 }
+DEFORMED_TOL = 1e-5
 
 VERIFY_SECTIONS = (
     "riccati", "shape-invariance", "ladder", "relations",
@@ -91,10 +92,14 @@ def load_config(path: str | None) -> dict:
                 if value not in ("json", "csv"):
                     raise UsageError(f"{path}:{lineno}: format must be json or csv")
                 resolved[key] = value
-            elif key == "grid_points":
-                resolved[key] = int(value)
-            else:
-                resolved[key] = float(value)
+                continue
+            convert = int if key == "grid_points" else float
+            try:
+                resolved[key] = convert(value)
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: {key} must be {convert.__name__}, got {value!r}"
+                ) from None
     return resolved
 
 
@@ -117,26 +122,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--output", default=None, metavar="PATH")
         p.add_argument("--config", default=None, metavar="PATH")
+
+    def add_grid(p):
         p.add_argument("--grid-min", type=float, default=None)
         p.add_argument("--grid-max", type=float, default=None)
         p.add_argument("--grid-points", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
 
+    def add_family(p, *more_families, **family_kwargs):
+        p.add_argument("--family", choices=("poschl-teller", "rosen-morse", *more_families),
+                       **family_kwargs)
+        p.add_argument("--l", type=_fraction, default=None)
+        p.add_argument("--nprime", type=_fraction, default=None)
+        p.add_argument("--B", type=_fraction, default=Fraction(0))
+
     p = sub.add_parser("spectrum", help="closed-form bound levels of a family")
-    p.add_argument("--family", required=True,
-                   choices=("poschl-teller", "rosen-morse", "gegenbauer"))
-    p.add_argument("--l", type=_fraction, default=None)
-    p.add_argument("--nprime", type=_fraction, default=None)
-    p.add_argument("--B", type=_fraction, default=Fraction(0))
+    add_family(p, "gegenbauer", required=True)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=_fraction, default=None)
     add_common(p)
 
     p = sub.add_parser("eigenfunction", help="closed-form bound state, exact coefficients")
-    p.add_argument("--family", required=True, choices=("poschl-teller", "rosen-morse"))
-    p.add_argument("--l", type=_fraction, default=None)
-    p.add_argument("--nprime", type=_fraction, default=None)
-    p.add_argument("--B", type=_fraction, default=Fraction(0))
+    add_family(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=float, default=None,
                    help="also evaluate the wave at this point")
@@ -152,28 +159,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, default=5)
     p.add_argument("--p-max", type=int, default=4)
     add_common(p)
+    add_grid(p)
 
     p = sub.add_parser("scatter", help="reflection/transmission at wavenumber k")
-    p.add_argument("--family", default="poschl-teller",
-                   choices=("poschl-teller", "rosen-morse"))
-    p.add_argument("--l", type=_fraction, default=None)
-    p.add_argument("--nprime", type=_fraction, default=None)
-    p.add_argument("--B", type=_fraction, default=Fraction(0))
+    add_family(p, default="poschl-teller")
     p.add_argument("--k", type=float, required=True)
+    p.add_argument("--grid-max", type=float, default=None,
+                   help="integration half width")
     add_common(p)
 
     p = sub.add_parser("oracle", help="finite-difference eigenvalues vs closed form")
-    p.add_argument("--family", required=True, choices=("poschl-teller", "rosen-morse"))
-    p.add_argument("--l", type=_fraction, default=None)
-    p.add_argument("--nprime", type=_fraction, default=None)
-    p.add_argument("--B", type=_fraction, default=Fraction(0))
+    add_family(p, required=True)
     add_common(p)
+    add_grid(p)
 
     p = sub.add_parser("deformed", help="zero-energy residual of the deformed family")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n", type=int, default=0)
     add_common(p)
+    add_grid(p)
 
     return parser
 
@@ -200,7 +205,7 @@ def parse_command(argv: list[str]) -> Command:
         params.setdefault("grid_max", config["scatter_half_width"])
         params.setdefault("scatter_step", config["scatter_step"])
     if sub == "deformed":
-        params.setdefault("tol", 1e-5)
+        params.setdefault("tol", DEFORMED_TOL)
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
@@ -208,12 +213,17 @@ def parse_command(argv: list[str]) -> Command:
 # helpers
 
 
+def _setting(params: dict, key: str):
+    """A resolved setting; a section run without parse_command gets the default."""
+    return params.get(key, CONFIG_DEFAULTS[key])
+
+
 def _grid(params: dict) -> fd_oracle.Grid:
-    return fd_oracle.Grid(params["grid_min"], params["grid_max"],
-                          int(params["grid_points"]))
+    return fd_oracle.Grid(_setting(params, "grid_min"), _setting(params, "grid_max"),
+                          int(_setting(params, "grid_points")))
 
 
-def _family(params: dict):
+def _family(params: dict) -> PoschlTeller | RosenMorseII:
     family = params.get("family")
     if family == "poschl-teller":
         if params.get("l") is None:
@@ -226,12 +236,18 @@ def _family(params: dict):
     raise UsageError(f"family {family!r} has no potential form here")
 
 
-def check(check_id: str, computed, expected, tolerance, provenance: str,
-          passed: bool | None = None) -> dict:
-    """One verification record; pass iff |computed - expected| <= tolerance
-    unless decided by the caller."""
+def check(check_id: str, computed=None, expected="zero", tolerance="exact",
+          provenance: str = "exact-rational-identity", passed: bool | None = None) -> dict:
+    """One verification record, the only form a check takes in a report.
+
+    A numeric check passes iff |computed - expected| <= tolerance, unless the
+    caller decides `passed`.  An exact identity check gives only `passed`: its
+    record reads "zero" when the identity holds and "nonzero" when it fails.
+    """
     if passed is None:
         passed = abs(float(computed) - float(expected)) <= float(tolerance)
+    elif computed is None:
+        computed = "zero" if passed else "nonzero"
     return {
         "id": check_id,
         "computed": computed,
@@ -239,18 +255,6 @@ def check(check_id: str, computed, expected, tolerance, provenance: str,
         "tolerance": tolerance,
         "provenance": provenance,
         "pass": bool(passed),
-    }
-
-
-def _exact_check(check_id: str, ok: bool, provenance: str = "exact-rational-identity",
-                 detail: str = "") -> dict:
-    return {
-        "id": check_id,
-        "computed": detail if (detail and not ok) else ("zero" if ok else "nonzero"),
-        "expected": "zero",
-        "tolerance": "exact",
-        "provenance": provenance,
-        "pass": bool(ok),
     }
 
 
@@ -272,9 +276,7 @@ def _wave_payload(w: HypWave, z: float | None = None) -> dict:
 
 
 def checks_riccati(params: dict) -> list[dict]:
-    grid = fd_oracle.Grid(params.get("grid_min", -12.0), params.get("grid_max", 12.0),
-                          int(params.get("grid_points", 2001)))
-    zs = grid.zs()
+    zs = _grid(params).zs()
     out = []
     for k, s in ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)),
                  (Fraction(3, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1))):
@@ -285,10 +287,10 @@ def checks_riccati(params: dict) -> list[dict]:
         out.append(check(f"riccati-roundtrip-k-{k}-s-{s}", resid, 0.0, 1e-10,
                          "closed-form"))
         diff_ok = (pair.v2 - pair.v1) == 2 * w.derivative_tanh_poly()
-        out.append(_exact_check(f"partner-difference-2wprime-k-{k}-s-{s}", diff_ok))
+        out.append(check(f"partner-difference-2wprime-k-{k}-s-{s}", passed=diff_ok))
     for k in (Fraction(1), Fraction(5), Fraction(3, 2)):
-        out.append(_exact_check(f"annihilation-k-{k}",
-                                susy_core.annihilation_check(k).is_zero))
+        out.append(check(f"annihilation-k-{k}",
+                         passed=susy_core.annihilation_check(k).is_zero))
     return out
 
 
@@ -297,11 +299,11 @@ def checks_shape_invariance(params: dict) -> list[dict]:
     ks = [Fraction(i) for i in range(1, 11)] + [Fraction(3, 2), Fraction(5, 2)]
     for k in ks:
         remainder, constancy = susy_core.shape_invariance_remainder(k)
-        expected = k * k - (k - 1) ** 2
-        out.append(_exact_check(
+        ok = remainder == k * k - (k - 1) ** 2 and constancy == 0.0
+        out.append(check(
             f"si-remainder-k-{k}",
-            remainder == expected and constancy == 0.0,
-            detail=f"remainder={remainder}, constancy={constancy}",
+            None if ok else f"remainder={remainder}, constancy={constancy}",
+            passed=ok,
         ))
     for l in range(1, 6):
         ok = all(
@@ -309,7 +311,7 @@ def checks_shape_invariance(params: dict) -> list[dict]:
             == l * l + spectra.poschl_teller_energy(l, n)
             for n in range(l)
         )
-        out.append(_exact_check(f"si-chain-energies-l-{l}", ok))
+        out.append(check(f"si-chain-energies-l-{l}", passed=ok))
     return out
 
 
@@ -324,19 +326,19 @@ def checks_ladder(params: dict) -> list[dict]:
             ).is_zero
             for n in range(l)
         )
-        out.append(_exact_check(f"ladder-residuals-l-{l}", residuals_ok))
+        out.append(check(f"ladder-residuals-l-{l}", passed=residuals_ok))
         degree_parity_ok = all(
             (wave := ladder_chain(l, n)).poly.degree == n
             and wave.poly.reflected() == ((-1) ** n) * wave.poly
             for n in range(l + 1)
         )
-        out.append(_exact_check(f"ladder-degree-parity-l-{l}", degree_parity_ok))
+        out.append(check(f"ladder-degree-parity-l-{l}", passed=degree_parity_ok))
     for l, m in ((2, 1), (3, 2), (4, 1), (5, 5)):
         if l > l_max:
             continue
         resid = eigen_residual_symbolic(
             orthopoly.assoc_legendre(l, m), PoschlTeller(l), -Fraction(m) ** 2)
-        out.append(_exact_check(f"assoc-legendre-eigenpair-l-{l}-m-{m}", resid.is_zero))
+        out.append(check(f"assoc-legendre-eigenpair-l-{l}-m-{m}", passed=resid.is_zero))
     return out
 
 
@@ -348,35 +350,40 @@ def checks_relations(params: dict) -> list[dict]:
         try:
             for m in range(1, l + 1):
                 orthopoly.check_legendre_identity(l, m)
-            out.append(_exact_check(f"legendre-ladder-link-l-{l}", True))
+            out.append(check(f"legendre-ladder-link-l-{l}", passed=True))
         except orthopoly.ProportionalityError as exc:
-            out.append(_exact_check(f"legendre-ladder-link-l-{l}", False, detail=str(exc)))
+            out.append(check(f"legendre-ladder-link-l-{l}", str(exc), passed=False))
     for q in (Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)):
         try:
             for p in range(p_max + 1):
                 orthopoly.check_gegenbauer_identity(p, q)
-            out.append(_exact_check(f"gegenbauer-ladder-link-q-{q}", True))
+            out.append(check(f"gegenbauer-ladder-link-q-{q}", passed=True))
         except orthopoly.ProportionalityError as exc:
-            out.append(_exact_check(f"gegenbauer-ladder-link-q-{q}", False, detail=str(exc)))
+            out.append(check(f"gegenbauer-ladder-link-q-{q}", str(exc), passed=False))
     for n, alpha, beta in ((3, Fraction(1), Fraction(2)), (5, Fraction(1, 2), Fraction(3, 2)),
                            (6, Fraction(0), Fraction(0)), (4, Fraction(-1, 2), Fraction(5, 2))):
-        out.append(_exact_check(
+        out.append(check(
             f"jacobi-ode-n-{n}-a-{alpha}-b-{beta}",
-            orthopoly.jacobi_ode_residual(n, alpha, beta).is_zero,
-            provenance="independent-recurrence"))
+            provenance="independent-recurrence",
+            passed=orthopoly.jacobi_ode_residual(n, alpha, beta).is_zero))
     for p, q in ((4, Fraction(1)), (5, Fraction(3, 2)), (6, Fraction(5, 2))):
-        out.append(_exact_check(
+        out.append(check(
             f"gegenbauer-ode-p-{p}-q-{q}",
-            orthopoly.gegenbauer_ode_residual(p, q).is_zero,
-            provenance="independent-recurrence"))
+            provenance="independent-recurrence",
+            passed=orthopoly.gegenbauer_ode_residual(p, q).is_zero))
     sym_ok = all(
         orthopoly.jacobi_poly(n, a, b).reflected()
         == ((-1) ** n) * orthopoly.jacobi_poly(n, b, a)
         for n in range(6)
         for a, b in ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(5, 2)))
     )
-    out.append(_exact_check("jacobi-reflection-symmetry", sym_ok))
+    out.append(check("jacobi-reflection-symmetry", passed=sym_ok))
     return out
+
+
+def _worst(deviations) -> float:
+    """Largest |deviation|, NaN if any entry is NaN (builtin max can drop one)."""
+    return float(np.max(np.abs(deviations), initial=0.0))
 
 
 def checks_maps(params: dict) -> list[dict]:
@@ -392,89 +399,82 @@ def checks_maps(params: dict) -> list[dict]:
         zt = cmaps.chart_grid(gamma, -6.0, 6.0, 1000, margin_scale=2e-2)
         th2 = np.array([cmaps.theta_of_z(gamma, z) for z in zt])
         ws = np.array([cmaps.w_of_z(gamma, z) for z in zt])
-        trig = max(
-            float(np.max(np.abs(np.sin(th2) - 1.0 / np.cosh(ws)))),
-            float(np.max(np.abs(np.cos(th2) + np.tanh(ws)))),
-            float(np.max(np.abs(np.sin(th2) ** 2 + np.cos(th2) ** 2 - 1.0))),
-            float(np.max(np.abs(np.sin(th2) * np.cosh(ws) - 1.0))),
-        )
+        trig = _worst([
+            np.sin(th2) - 1.0 / np.cosh(ws),
+            np.cos(th2) + np.tanh(ws),
+            np.sin(th2) ** 2 + np.cos(th2) ** 2 - 1.0,
+            np.sin(th2) * np.cosh(ws) - 1.0,
+        ])
         out.append(check(f"map-trig-identities-gamma-{gamma}", trig, 0.0, 1e-12,
                          "closed-form"))
-        out.append(_exact_check(f"map-monotone-gamma-{gamma}",
-                                bool(np.all(np.diff(thetas) > 0.0)),
-                                provenance="closed-form"))
+        out.append(check(f"map-monotone-gamma-{gamma}", provenance="closed-form",
+                         passed=bool(np.all(np.diff(thetas) > 0.0))))
         out.append(check(f"map-origin-gamma-{gamma}",
                          cmaps.z_of_theta(gamma, math.pi / 2), 0.0, 1e-12,
                          "closed-form"))
         safe = [z for z in np.linspace(-3.0, 3.0, 13) if gamma * z + 1.0 > 0.3]
-        elim = max(abs(cmaps.first_derivative_coefficient(gamma, z)) for z in safe)
+        elim = _worst([cmaps.first_derivative_coefficient(gamma, z) for z in safe])
         out.append(check(f"first-derivative-elimination-gamma-{gamma}", elim, 0.0,
                          1e-10, "fd-oracle"))
     zs = np.linspace(-3.0, 3.0, 61)
-    drift = max(abs(cmaps.theta_of_z(1e-8, z) - cmaps.theta_of_z(0.0, z)) for z in zs)
+    drift = _worst([cmaps.theta_of_z(1e-8, z) - cmaps.theta_of_z(0.0, z) for z in zs])
     out.append(check("map-small-gamma-limit", drift, 0.0, 1e-6, "closed-form"))
     return out
 
 
-def _worst_error(computed: list[float], exact: list[float]) -> float:
-    """Largest |computed - exact|, NaN if any entry is NaN (builtin max can drop one)."""
-    return float(np.max(np.abs(np.subtract(computed, exact)), initial=0.0))
+def _fd_vs_closed_form(fam: PoschlTeller | RosenMorseII,
+                       grid: fd_oracle.Grid) -> tuple[list[int], list[float], list[float]]:
+    """A family's bound levels, their closed-form energies as floats, and the
+    finite-difference eigenvalues below its FD ceiling on the grid."""
+    levels = fam.levels()
+    exact = [float(fam.energy(n)) for n in levels]
+    evs = fd_oracle.bound_state_eigenvalues(
+        fd_oracle.discretize(fam, grid), below=fam.fd_ceiling, max_count=len(levels) + 3)
+    return levels, exact, evs
 
 
 def checks_spectra(params: dict) -> list[dict]:
-    grid = fd_oracle.Grid(params.get("grid_min", -12.0), params.get("grid_max", 12.0),
-                          int(params.get("grid_points", 2001)))
-    tol = params.get("tol", 2e-3)
+    grid = _grid(params)
+    tol = _setting(params, "tol")
     out = []
     for l in range(1, 6):
-        fam = PoschlTeller(l)
-        evs = fd_oracle.bound_state_eigenvalues(
-            fd_oracle.discretize(fam, grid), below=-1e-6, max_count=l + 2)
-        exact = [float(spectra.poschl_teller_energy(l, n)) for n in range(l)]
+        _levels, exact, evs = _fd_vs_closed_form(PoschlTeller(l), grid)
         count_ok = len(evs) == len(exact)
-        worst = _worst_error(evs, exact) if count_ok else math.inf
+        worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
         out.append(check(f"fd-vs-closed-form-sech-l-{l}", worst, 0.0, tol, "fd-oracle",
                          passed=count_ok and worst <= tol))
-        out.append(_exact_check(f"fd-level-count-sech-l-{l}", count_ok,
-                                provenance="fd-oracle"))
+        out.append(check(f"fd-level-count-sech-l-{l}", provenance="fd-oracle",
+                         passed=count_ok))
     for n_prime, b in ((Fraction(2), Fraction(1, 2)), (Fraction(3), Fraction(1)),
                        (Fraction(5, 2), Fraction(1, 2))):
         fam = RosenMorseII(n_prime, b)
-        evs = fd_oracle.bound_state_eigenvalues(
-            fd_oracle.discretize(fam, grid), below=fam.continuum_edge - 1e-9,
-            max_count=8)
-        levels = spectra.rosen_morse_levels(n_prime, b)
-        exact = [float(spectra.rosen_morse_energy(n_prime, b, n)) for n in levels]
+        levels, exact, evs = _fd_vs_closed_form(fam, grid)
         count_ok = len(evs) == len(exact)
-        worst = _worst_error(evs, exact) if count_ok else math.inf
+        worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
         out.append(check(f"fd-vs-closed-form-tilted-{n_prime}-{b}", worst, 0.0, tol,
                          "fd-oracle", passed=count_ok and worst <= tol))
         resid_ok = all(
-            eigen_residual_symbolic(
-                spectra.rosen_morse_eigenfunction(n_prime, b, n), fam,
-                spectra.rosen_morse_energy(n_prime, b, n)).is_zero
+            eigen_residual_symbolic(fam.eigenfunction(n), fam, fam.energy(n)).is_zero
             for n in levels
         )
-        out.append(_exact_check(f"tilted-eigenpair-residuals-{n_prime}-{b}", resid_ok))
-        out.append(_exact_check(
-            f"tilted-below-edge-{n_prime}-{b}",
-            all(e < fam.continuum_edge for e in exact),
-            provenance="closed-form"))
+        out.append(check(f"tilted-eigenpair-residuals-{n_prime}-{b}", passed=resid_ok))
+        out.append(check(f"tilted-below-edge-{n_prime}-{b}", provenance="closed-form",
+                         passed=all(e < fam.continuum_edge for e in exact)))
     shift_ok = all(
         spectra.rosen_morse_energy(n_prime, 0, n)
         == n_prime * (n_prime + 1) + spectra.poschl_teller_energy(n_prime, n)
         for n_prime in (Fraction(2), Fraction(3), Fraction(7, 2))
         for n in range(math.ceil(n_prime))
     )
-    out.append(_exact_check("tilted-reduces-to-sech-shift", shift_ok))
+    out.append(check("tilted-reduces-to-sech-shift", passed=shift_ok))
     for p, q in ((2, Fraction(3, 2)), (0, Fraction(3, 2)), (1, Fraction(2)),
                  (3, Fraction(5, 2))):
         red = spectra.gegenbauer_spectrum(p, q)
         ok = (red.target.n == p
               and spectra.poschl_teller_energy(red.n_prime, p) == -(red.m_prime ** 2)
               and red.reflectionless == (red.n_prime.denominator == 1))
-        out.append(_exact_check(f"ultraspherical-target-p-{p}-q-{q}", ok,
-                                provenance="closed-form"))
+        out.append(check(f"ultraspherical-target-p-{p}-q-{q}", provenance="closed-form",
+                         passed=ok))
     return out
 
 
@@ -498,14 +498,14 @@ def checks_deformed(params: dict) -> list[dict]:
         for n in (0, 1, 2):
             resid = spectra.gamma_deformed_residual(alpha, beta, n, grid)
             out.append(check(
-                f"deformed-zero-energy-a-{alpha}-b-{beta}-n-{n}", resid, 0.0, 1e-5,
+                f"deformed-zero-energy-a-{alpha}-b-{beta}-n-{n}", resid, 0.0, DEFORMED_TOL,
                 "fd-oracle"))
     return out
 
 
 def checks_scatter(params: dict) -> list[dict]:
-    half_width = params.get("scatter_half_width", 20.0)
-    step = params.get("scatter_step", 1e-3)
+    half_width = _setting(params, "scatter_half_width")
+    step = _setting(params, "scatter_step")
     out = []
     for l in (1, 2, 3):
         for k in (0.5, 1.0, 2.0):
@@ -513,7 +513,7 @@ def checks_scatter(params: dict) -> list[dict]:
             out.append(check(f"reflectionless-l-{l}-k-{k}", res.r2, 0.0, 1e-6,
                              "scattering-oracle"))
             out.append(check(f"flux-conservation-l-{l}-k-{k}", res.flux_defect, 0.0,
-                             1e-6, "scattering-oracle"))
+                             fd_oracle.FLUX_TOL, "scattering-oracle"))
     for n_prime in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
         res = fd_oracle.scattering_amplitudes(PoschlTeller(n_prime), 1.0, half_width,
                                               step)
@@ -521,14 +521,8 @@ def checks_scatter(params: dict) -> list[dict]:
             f"reflection-analytic-nprime-{n_prime}", res.r2,
             fd_oracle.sech_well_reflection_exact(float(n_prime), 1.0), 1e-9,
             "analytic-cross-check"))
-        out.append({
-            "id": f"reflection-regression-nprime-{n_prime}",
-            "computed": res.r2,
-            "expected": ">= 1e-3",
-            "tolerance": "lower-bound",
-            "provenance": "regression-pin",
-            "pass": res.r2 >= 1e-3,
-        })
+        out.append(check(f"reflection-regression-nprime-{n_prime}", res.r2, ">= 1e-3",
+                         "lower-bound", "regression-pin", passed=res.r2 >= 1e-3))
     return out
 
 
@@ -549,8 +543,8 @@ SECTION_RUNNERS = {
 
 
 def run_spectrum(params: dict) -> dict:
-    family = params["family"]
-    if family == "gegenbauer":
+    extra = {}
+    if params["family"] == "gegenbauer":
         if params.get("p") is None or params.get("q") is None:
             raise UsageError("--p and --q are required for the ultraspherical family")
         red = spectra.gegenbauer_spectrum(params["p"], params["q"])
@@ -562,16 +556,8 @@ def run_spectrum(params: dict) -> dict:
             "target_energy": red.target.energy,
             "reflectionless": red.reflectionless,
         }
-    elif family == "poschl-teller":
-        if params.get("l") is None:
-            raise UsageError("--l is required for the sech-well family")
-        entries = spectra.poschl_teller_spectrum(params["l"])
-        extra = {}
     else:
-        if params.get("nprime") is None:
-            raise UsageError("--nprime is required for the tanh-tilted family")
-        entries = spectra.rosen_morse_spectrum(params["nprime"], params.get("B", 0))
-        extra = {}
+        entries = _family(params).spectrum()
     return {
         "entries": [{"n": e.n, "energy": e.energy, "kind": e.kind} for e in entries],
         **extra,
@@ -579,26 +565,15 @@ def run_spectrum(params: dict) -> dict:
 
 
 def run_eigenfunction(params: dict) -> dict:
-    family = params["family"]
-    n = params["n"]
-    if family == "poschl-teller":
-        if params.get("l") is None:
-            raise UsageError("--l is required for the sech-well family")
-        wave = ladder_chain(params["l"], n)
-        energy = spectra.poschl_teller_energy(params["l"], n)
-        fam = PoschlTeller(params["l"])
-    else:
-        if params.get("nprime") is None:
-            raise UsageError("--nprime is required for the tanh-tilted family")
-        wave = spectra.rosen_morse_eigenfunction(params["nprime"], params.get("B", 0), n)
-        energy = spectra.rosen_morse_energy(params["nprime"], params.get("B", 0), n)
-        fam = RosenMorseII(params["nprime"], params.get("B", 0))
+    fam = _family(params)
+    wave = fam.eigenfunction(params["n"])
+    energy = fam.energy(params["n"])
     residual_zero = eigen_residual_symbolic(wave, fam, energy).is_zero
     return {
         "wave": _wave_payload(wave, params.get("z")),
         "energy": float(energy),
         "energy_exact": str(energy),
-        "checks": [_exact_check("eigenpair-residual", residual_zero)],
+        "checks": [check("eigenpair-residual", passed=residual_zero)],
     }
 
 
@@ -630,7 +605,7 @@ def run_scatter(params: dict) -> dict:
     res = fd_oracle.scattering_amplitudes(
         fam, params["k"],
         half_width=params["grid_max"],
-        step=params.get("scatter_step", 1e-3),
+        step=params["scatter_step"],
     )
     return {
         "R2": res.r2,
@@ -639,29 +614,19 @@ def run_scatter(params: dict) -> dict:
         "half_width": res.half_width,
         "step": res.step,
         "checks": [
-            check("flux-conservation", res.flux_defect, 0.0, 1e-6, "scattering-oracle"),
+            check("flux-conservation", res.flux_defect, 0.0, fd_oracle.FLUX_TOL,
+                  "scattering-oracle"),
         ],
     }
 
 
 def run_oracle(params: dict) -> dict:
     fam = _family(params)
-    grid = _grid(params)
-    tol = params.get("tol", 2e-3)
-    if isinstance(fam, PoschlTeller):
-        levels = list(range(math.ceil(fam.l)))
-        exact = [float(spectra.poschl_teller_energy(fam.l, n)) for n in levels]
-        below = -1e-6
-    else:
-        levels = spectra.rosen_morse_levels(fam.n_prime, fam.B)
-        exact = [float(spectra.rosen_morse_energy(fam.n_prime, fam.B, n)) for n in levels]
-        below = fam.continuum_edge - 1e-9
-    evs = fd_oracle.bound_state_eigenvalues(
-        fd_oracle.discretize(fam, grid), below=below, max_count=len(levels) + 3)
-    checks = [_exact_check("fd-level-count", len(evs) == len(levels),
-                           provenance="fd-oracle")]
+    tol = params["tol"]
+    levels, exact, evs = _fd_vs_closed_form(fam, _grid(params))
+    checks = [check("fd-level-count", provenance="fd-oracle", passed=len(evs) == len(levels))]
     rows = []
-    for (n, e_exact), e_fd in zip(zip(levels, exact), evs):
+    for n, e_exact, e_fd in zip(levels, exact, evs):
         rows.append({"n": n, "fd_energy": e_fd, "closed_form": e_exact,
                      "abs_error": abs(e_fd - e_exact)})
         checks.append(check(f"fd-level-{n}", e_fd, e_exact, tol, "fd-oracle"))
@@ -682,7 +647,7 @@ def run_deformed(params: dict) -> dict:
         params["grid_max"] = grid.z_max
         params["grid_points"] = grid.points
     resid = spectra.gamma_deformed_residual(alpha, beta, n, grid)
-    tol = params.get("tol", 1e-5)
+    tol = params["tol"]
     return {
         "residual": resid,
         "checks": [check("deformed-zero-energy", resid, 0.0, tol, "fd-oracle")],
@@ -795,7 +760,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except fd_oracle.NumericalError as exc:
+    except (fd_oracle.NumericalError, OverflowError) as exc:
         print(f"numerical failure in {cmd.subcommand!r}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -32,21 +32,12 @@ class ChartDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class MapParams:
-    gamma: float
-
-
-@dataclass(frozen=True)
 class MapPoint:
     """One mapped point; sin(theta) = sech(w) and cos(theta) = -tanh(w) hold."""
 
     z: float
     theta: float
     w: float
-
-
-def _gamma_of(p) -> float:
-    return float(p.gamma) if isinstance(p, MapParams) else float(p)
 
 
 def _check_chart(gamma: float, z: float) -> float:
@@ -58,19 +49,20 @@ def _check_chart(gamma: float, z: float) -> float:
     return u
 
 
-def theta_of_z(p, z: float) -> float:
+def theta_of_z(gamma: float, z: float) -> float:
     """Map z to theta in (0, pi); strictly increasing on the chart."""
-    gamma = _gamma_of(p)
+    gamma = float(gamma)
     z = float(z)
     if abs(gamma) < GAMMA_SWITCH:
         return 2.0 * math.atan(math.exp(z))
-    u = _check_chart(gamma, z)
-    return 2.0 * math.atan(math.exp(math.log(u) / gamma))
+    _check_chart(gamma, z)
+    # log1p: log(gamma*z + 1) loses the digits of gamma*z when it is tiny
+    return 2.0 * math.atan(math.exp(math.log1p(gamma * z) / gamma))
 
 
-def z_of_theta(p, theta: float) -> float:
+def z_of_theta(gamma: float, theta: float) -> float:
     """Inverse of theta_of_z on theta in (0, pi)."""
-    gamma = _gamma_of(p)
+    gamma = float(gamma)
     theta = float(theta)
     if not 0.0 < theta < math.pi:
         raise ChartDomainError(f"theta = {theta} is not inside (0, pi)")
@@ -81,9 +73,9 @@ def z_of_theta(p, theta: float) -> float:
     return math.expm1(gamma * log_tan_half) / gamma
 
 
-def w_of_z(p, z: float) -> float:
+def w_of_z(gamma: float, z: float) -> float:
     """w = ln(gamma z + 1)/gamma, the argument on which sech/tanh act; w = z at gamma = 0."""
-    gamma = _gamma_of(p)
+    gamma = float(gamma)
     z = float(z)
     if abs(gamma) < GAMMA_SWITCH:
         return z
@@ -91,40 +83,27 @@ def w_of_z(p, z: float) -> float:
     return math.log1p(gamma * z) / gamma
 
 
-def w_of_z_array(p, z: np.ndarray) -> np.ndarray:
-    gamma = _gamma_of(p)
-    z = np.asarray(z, dtype=float)
-    if abs(gamma) < GAMMA_SWITCH:
-        return z.copy()
-    u = gamma * z + 1.0
-    if np.any(u <= 0.0):
-        raise ChartDomainError(
-            f"grid leaves the chart: min(gamma*z + 1) = {u.min()} (gamma = {gamma})"
-        )
-    return np.log1p(gamma * z) / gamma
+def map_point(gamma: float, z: float) -> MapPoint:
+    return MapPoint(z=float(z), theta=theta_of_z(gamma, z), w=w_of_z(gamma, z))
 
 
-def map_point(p, z: float) -> MapPoint:
-    return MapPoint(z=float(z), theta=theta_of_z(p, z), w=w_of_z(p, z))
-
-
-def chart_interval(p) -> tuple[float, float]:
+def chart_interval(gamma: float) -> tuple[float, float]:
     """Open z-interval on which the map is real and monotone."""
-    gamma = _gamma_of(p)
+    gamma = float(gamma)
     if abs(gamma) < GAMMA_SWITCH:
         return (-math.inf, math.inf)
     edge = -1.0 / gamma
     return (edge, math.inf) if gamma > 0 else (-math.inf, edge)
 
 
-def chart_grid(p, z_min: float, z_max: float, points: int,
+def chart_grid(gamma: float, z_min: float, z_max: float, points: int,
                margin_scale: float = 1e-6) -> np.ndarray:
     """Uniform grid on [z_min, z_max] clipped into the chart.
 
     The singular endpoint -1/gamma is inset by margin_scale*|1/gamma| so
     downstream evaluations stay finite.
     """
-    gamma = _gamma_of(p)
+    gamma = float(gamma)
     if points < 2:
         raise ValueError("need at least two grid points")
     lo, hi = chart_interval(gamma)
@@ -157,7 +136,7 @@ def _theta_derivative(gamma: float, z: float) -> float:
     return _theta_complex(gamma, complex(z, h)).imag / h
 
 
-def first_derivative_coefficient(p, z: float, m: float = 0.0) -> float:
+def first_derivative_coefficient(gamma: float, z: float, m: float = 0.0) -> float:
     """Residual of the first-derivative elimination condition at z.
 
     The transformed equation keeps a first-derivative term with coefficient
@@ -172,7 +151,7 @@ def first_derivative_coefficient(p, z: float, m: float = 0.0) -> float:
     fractional-power singularity at the chart edge, so the numerical check
     loses accuracy within a few percent of |1/gamma| of the edge.
     """
-    gamma = _gamma_of(p)
+    gamma = float(gamma)
     z = float(z)
     theta = theta_of_z(gamma, z)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialFamily, PoschlTeller, RosenMorseII, potential_values
+from .potentials import PotentialFamily, potential_values
 from .tanh_algebra import HypWave, eval_wave_array
 
 DEFAULT_Z_MIN = -12.0
@@ -204,28 +204,25 @@ class ScatteringResult:
 
 
 def _symmetric_asymptote(fam: PotentialFamily, half_width: float) -> float:
-    """Common asymptotic value of V, or raise for asymmetric/undecayed tails."""
-    if isinstance(fam, PoschlTeller):
-        v_inf = 0.0
-    elif isinstance(fam, RosenMorseII):
-        if fam.B != 0:
-            raise NumericalError(
-                "scattering runs are restricted to symmetric tails; the tanh-tilted "
-                "well with B != 0 has unequal asymptotes"
-            )
-        v_inf = float(fam.n_prime * (fam.n_prime + 1))
-    else:
+    """Common asymptotic value of V, or raise for unequal or undecayed tails."""
+    left, right = fam.asymptotes
+    if left != right:
+        raise NumericalError(
+            "scattering runs are restricted to symmetric tails; "
+            f"{fam!r} has unequal asymptotes {left} and {right}"
+        )
+    try:
+        tails = potential_values(fam, np.array([-half_width, half_width]))
+    except ValueError as exc:
         # sampled potentials cannot be evaluated on the integrator's lattice
-        raise NumericalError(f"family {fam!r} is not supported for scattering")
-
-    tails = potential_values(fam, np.array([-half_width, half_width]))
-    defect = float(np.max(np.abs(tails - v_inf)))
+        raise NumericalError(f"family {fam!r} is not supported for scattering: {exc}") from exc
+    defect = float(np.max(np.abs(tails - left)))
     if not (defect <= 1e-10):
         raise NumericalError(
             f"potential has not decayed at |z| = {half_width}: |V - V_inf| = {defect:.3e}; "
             "increase the half width"
         )
-    return v_inf
+    return left
 
 
 def _rk4_step_deltas(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray,
@@ -345,13 +342,6 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
             f"flux conservation violated: 1 - (|R|^2 + |T|^2) = {result.flux_defect:.3e}"
         )
     return result
-
-
-def reflection_coefficient(fam: PotentialFamily, k: float,
-                           half_width: float = SCATTER_HALF_WIDTH,
-                           step: float = SCATTER_STEP) -> float:
-    """|R|^2 in [0, 1] for a symmetric-tail potential at wavenumber k."""
-    return scattering_amplitudes(fam, k, half_width, step).r2
 
 
 def sech_well_reflection_exact(l: float, k: float) -> float:

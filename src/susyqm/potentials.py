@@ -4,10 +4,13 @@ Sign conventions, fixed once for the whole package (c = hbar/sqrt(2m) = 1):
 
   sech well          V(z) = -l(l+1) sech^2 z                         (continuum edge 0)
   tanh-tilted well   V(z) = n'(n'+1) tanh^2 z - 2B tanh z            (edges n'(n'+1) -+ 2B)
-  log-deformed       zero-energy family over w = ln(gamma z + 1)/gamma; it has no
-                     level-independent potential, so it is rejected by the exact
-                     residual and by the grid discretization and is verified
-                     per level in spectra.gamma_deformed_residual.
+
+Both wells are shape invariant and answer to one interface: tanh_poly() and
+values() give V, asymptotes and continuum_edge its tails, levels(), energy(n),
+eigenfunction(n) and spectrum() the closed forms of spectra, and fd_ceiling the
+energy below which the finite-difference oracle counts bound levels.  The
+log-deformed zero-energy family has no level-independent potential, so it is
+no family here; spectra.gamma_deformed_residual verifies it level by level.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Union
 
 import numpy as np
 
-from .tanh_algebra import TanhPoly, as_fraction
+from . import spectra
+from .tanh_algebra import HypWave, TanhPoly, as_fraction, ladder_chain
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,23 @@ class PoschlTeller:
     @property
     def continuum_edge(self) -> float:
         return 0.0
+
+    @property
+    def fd_ceiling(self) -> float:
+        return -1e-6
+
+    def levels(self) -> list[int]:
+        return spectra.poschl_teller_levels(self.l)
+
+    def energy(self, n: int) -> Fraction:
+        return spectra.poschl_teller_energy(self.l, n)
+
+    def eigenfunction(self, n: int) -> HypWave:
+        """Level n from the ladder chain; n = l is the integer-l threshold state."""
+        return ladder_chain(self.l, n)
+
+    def spectrum(self) -> list[spectra.SpectrumEntry]:
+        return spectra.poschl_teller_spectrum(self.l)
 
 
 @dataclass(frozen=True)
@@ -84,25 +105,21 @@ class RosenMorseII:
     def continuum_edge(self) -> float:
         return float(self.n_prime * (self.n_prime + 1) - 2 * abs(self.B))
 
-
-@dataclass(frozen=True)
-class GammaDeformed:
-    """Parameters of the zero-energy deformed family; gamma = beta - alpha."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > -1 and self.beta > -1):
-            raise ValueError("alpha and beta must both exceed -1")
-
     @property
-    def gamma(self) -> float:
-        return self.beta - self.alpha
+    def fd_ceiling(self) -> float:
+        return self.continuum_edge - 1e-9
 
-    @property
-    def m(self) -> float:
-        return 0.5 * (self.alpha + self.beta)
+    def levels(self) -> list[int]:
+        return spectra.rosen_morse_levels(self.n_prime, self.B)
+
+    def energy(self, n: int) -> Fraction:
+        return spectra.rosen_morse_energy(self.n_prime, self.B, n)
+
+    def eigenfunction(self, n: int) -> HypWave:
+        return spectra.rosen_morse_eigenfunction(self.n_prime, self.B, n)
+
+    def spectrum(self) -> list[spectra.SpectrumEntry]:
+        return spectra.rosen_morse_spectrum(self.n_prime, self.B)
 
 
 @dataclass(frozen=True)
@@ -140,14 +157,9 @@ class CustomPotential:
         return (self.v[0], self.v[-1])
 
 
-PotentialFamily = Union[PoschlTeller, RosenMorseII, GammaDeformed, CustomPotential]
+PotentialFamily = Union[PoschlTeller, RosenMorseII, CustomPotential]
 
 
 def potential_values(fam: PotentialFamily, z: np.ndarray) -> np.ndarray:
-    """Evaluate a family on given points; rejects families without one."""
-    if isinstance(fam, GammaDeformed):
-        raise ValueError(
-            "the log-deformed family is a zero-energy family without a "
-            "level-independent potential; use spectra.gamma_deformed_residual"
-        )
+    """Evaluate a family on given points."""
     return fam.values(z)

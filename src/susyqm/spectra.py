@@ -24,17 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coordinate_maps import ChartDomainError, GAMMA_SWITCH
-from .fd_oracle import Grid
 from .orthopoly import jacobi_poly, jacobi_values
 from .tanh_algebra import HypWave, as_fraction
 
+if TYPE_CHECKING:  # fd_oracle imports potentials, which imports this module
+    from .fd_oracle import Grid
+
 __all__ = [
     "SpectrumEntry", "GegenbauerReduction",
-    "poschl_teller_energy", "poschl_teller_spectrum",
+    "poschl_teller_energy", "poschl_teller_levels", "poschl_teller_spectrum",
     "rosen_morse_energy", "rosen_morse_levels", "rosen_morse_spectrum",
     "rosen_morse_eigenfunction", "gegenbauer_spectrum", "gamma_deformed_residual",
 ]
@@ -64,6 +67,11 @@ def poschl_teller_energy(l, n: int) -> Fraction:
     return -((lf - n) ** 2)
 
 
+def poschl_teller_levels(l) -> list[int]:
+    """Bound level indices n = 0 .. ceil(l) - 1 of the depth-l sech well."""
+    return list(range(math.ceil(as_fraction(l))))
+
+
 def poschl_teller_spectrum(l) -> list[SpectrumEntry]:
     """All negative levels of the depth-l sech well, plus the integer-l threshold.
 
@@ -76,7 +84,7 @@ def poschl_teller_spectrum(l) -> list[SpectrumEntry]:
         return []
     entries = [
         SpectrumEntry(n, float(poschl_teller_energy(lf, n)), "bound")
-        for n in range(math.ceil(lf))
+        for n in poschl_teller_levels(lf)
     ]
     if lf.denominator == 1:
         entries.append(SpectrumEntry(int(lf), 0.0, "threshold"))

@@ -215,20 +215,6 @@ class TanhPoly:
 
 
 @dataclass(frozen=True)
-class LadderParam:
-    """Coefficient k of tanh z in the raising operator -d/dz + k tanh z."""
-
-    k: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_fraction(self.k))
-
-
-def _ladder_coefficient(k) -> Fraction:
-    return k.k if isinstance(k, LadderParam) else as_fraction(k)
-
-
-@dataclass(frozen=True)
 class HypWave:
     """Closed form prefactor * (1-t)^a * (1+t)^b * poly(t), t = tanh z.
 
@@ -397,7 +383,7 @@ def differentiate_z(w: HypWave) -> HypWave:
 
 def apply_ladder(k, w: HypWave) -> HypWave:
     """Apply the raising operator -d/dz + k tanh z exactly."""
-    kf = _ladder_coefficient(k)
+    kf = as_fraction(k)
     if w.is_zero:
         return w
     poly = -_d_poly(w.a, w.b, w.poly) + kf * TanhPoly.t() * w.poly
@@ -406,7 +392,7 @@ def apply_ladder(k, w: HypWave) -> HypWave:
 
 def apply_lowering(k, w: HypWave) -> HypWave:
     """Apply the annihilation operator d/dz + k tanh z exactly."""
-    kf = _ladder_coefficient(k)
+    kf = as_fraction(k)
     if w.is_zero:
         return w
     poly = _d_poly(w.a, w.b, w.poly) + kf * TanhPoly.t() * w.poly
@@ -442,8 +428,8 @@ def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
     """Residual polynomial of (-d^2/dz^2 + V - E) w for exact tanh-form potentials.
 
     The family must expose an exact polynomial V(tanh z) via fam.tanh_poly()
-    (true for the sech^2 and tanh^2/tanh wells; the log-deformed family has no
-    such form and is rejected — its residuals are checked numerically).
+    (true for the sech^2 and tanh^2/tanh wells; a grid-sampled potential has
+    no such form and is rejected — check it with fd_oracle.grid_residual).
     The common weight (1-t)^a (1+t)^b is factored out and the remaining
     polynomial returned: it is identically zero iff (w, E) is an exact
     eigenpair.

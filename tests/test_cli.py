@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from susyqm import cli, fd_oracle
 from susyqm.cli import (
@@ -107,6 +109,105 @@ def test_checks_spectra_nan_level_fails(monkeypatch):
     assert len(fd_checks) == 8
     assert not any(c["pass"] for c in fd_checks)
     assert all(math.isnan(c["computed"]) for c in fd_checks)
+
+
+def test_checks_maps_nan_elimination_fails(monkeypatch):
+    # the builtin max() keeps the first value when a later one is NaN
+    real = cli.cmaps.first_derivative_coefficient
+    seen = set()
+
+    def nan_after_first(gamma, z, m=0.0):
+        if gamma in seen:
+            return math.nan
+        seen.add(gamma)
+        return real(gamma, z, m)
+
+    monkeypatch.setattr(cli.cmaps, "first_derivative_coefficient", nan_after_first)
+    elim = [c for c in cli.checks_maps({})
+            if c["id"].startswith("first-derivative-elimination-")]
+    assert len(elim) == 6
+    assert not any(c["pass"] for c in elim)
+    assert all(math.isnan(c["computed"]) for c in elim)
+
+
+def test_spectrum_rejects_negative_depth(capsys):
+    # -l(l+1) sech^2 z at l = -3 is the depth-2 well; an empty spectrum is wrong
+    code, out, err = run(["spectrum", "--family", "poschl-teller", "--l", "-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "depth parameter" in err
+
+
+def test_config_bad_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("grid_min = -10\ngrid_points = abc\n")
+    code, out, err = run(["oracle", "--family", "poschl-teller", "--l", "1",
+                          "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2" in err and "grid_points" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "poschl-teller", "--l", "1e400"],
+    ["eigenfunction", "--family", "poschl-teller", "--l", "200", "--n", "199",
+     "--z", "0"],
+])
+def test_float_overflow_exits_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+UNREAD_FLAGS = [
+    (base, flag)
+    for base in (["spectrum", "--family", "poschl-teller", "--l", "2"],
+                 ["eigenfunction", "--family", "poschl-teller", "--l", "2", "--n", "0"],
+                 ["map", "--gamma", "1", "--z", "0.5"])
+    for flag in ("--grid-min", "--grid-max", "--grid-points", "--tol")
+] + [
+    (["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"], flag)
+    for flag in ("--grid-min", "--grid-points", "--tol")
+]
+
+
+@pytest.mark.parametrize("base,flag", UNREAD_FLAGS,
+                         ids=[base[0] + flag for base, flag in UNREAD_FLAGS])
+def test_flag_the_subcommand_does_not_read_exits_2(base, flag, capsys):
+    code, out, err = run(base + [flag, "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+fuzz_rationals = st.builds(lambda num, den: str(Fraction(num, den)),
+                           st.integers(-300, 300), st.integers(1, 4))
+
+
+@given(sub=st.sampled_from(["spectrum", "eigenfunction"]),
+       family=st.sampled_from(["poschl-teller", "rosen-morse"]),
+       l=fuzz_rationals, nprime=fuzz_rationals, b=fuzz_rationals,
+       n=st.integers(0, 60), z=st.floats(-30.0, 30.0), config=st.none())
+@example(sub="spectrum", family="poschl-teller", l="-3", nprime="1", b="0", n=0, z=0.0,
+         config=None)
+@example(sub="spectrum", family="poschl-teller", l="1", nprime="1", b="0", n=0, z=0.0,
+         config="grid_points = abc\n")
+@example(sub="spectrum", family="poschl-teller", l="1e400", nprime="1", b="0", n=0,
+         z=0.0, config=None)
+@example(sub="eigenfunction", family="poschl-teller", l="200", nprime="1", b="0", n=199,
+         z=0.0, config=None)
+@settings(max_examples=40, deadline=None)
+def test_exit_code_contract_fuzz(sub, family, l, nprime, b, n, z, config,
+                                 tmp_path_factory):
+    argv = [sub, "--family", family, f"--l={l}", f"--nprime={nprime}", f"--B={b}"]
+    if sub == "eigenfunction":
+        argv += [f"--n={n}", f"--z={z!r}"]
+    if config is not None:
+        path = tmp_path_factory.mktemp("config") / "susyqm.conf"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) in (0, 1, 2, 3)
 
 
 def test_spectrum_exits_0(capsys):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from susyqm import (
-    ChartDomainError, MapParams, chart_grid, chart_interval,
+    ChartDomainError, chart_grid, chart_interval,
     first_derivative_coefficient, map_point, theta_of_z, w_of_z, z_of_theta,
 )
 
@@ -32,12 +32,6 @@ def test_w_examples():
     assert w == pytest.approx(math.log(2.0), abs=1e-14)
     # sech(ln 2) = 0.8 = sin(2 arctan 2)
     assert 1.0 / math.cosh(w) == pytest.approx(math.sin(theta_of_z(2.0, 1.5)), abs=1e-12)
-
-
-def test_map_params_wrapper():
-    p = MapParams(gamma=2.0)
-    assert theta_of_z(p, 1.5) == theta_of_z(2.0, 1.5)
-    assert w_of_z(p, 1.5) == w_of_z(2.0, 1.5)
 
 
 def test_chart_domain_errors():
@@ -120,6 +114,7 @@ def test_first_derivative_elimination_mid_chart(gamma):
 
 
 @given(gamma=st.floats(-2.0, 2.0), x=st.floats(0.01, 0.99))
+@example(gamma=2.0 ** -23, x=0.78125)  # just above GAMMA_SWITCH
 @settings(max_examples=80)
 def test_roundtrip_property(gamma, x):
     lo, hi = chart_interval(gamma)

@@ -8,9 +8,9 @@ import hypothesis.strategies as st
 
 from conftest import hyp_waves, nonzero_rationals, rationals, tanh_polys
 from susyqm import (
-    GammaDeformed, HypWave, LadderParam, PoschlTeller, TanhPoly, apply_ladder,
-    apply_lowering, differentiate_z, eigen_residual_symbolic, eval_wave,
-    eval_wave_array, ladder_chain, poschl_teller_energy,
+    CustomPotential, HypWave, PoschlTeller, TanhPoly, apply_ladder, apply_lowering,
+    differentiate_z, eigen_residual_symbolic, eval_wave, eval_wave_array,
+    ladder_chain, poschl_teller_energy,
 )
 
 SECH = HypWave.sech_power(1)
@@ -139,7 +139,6 @@ def test_apply_ladder_examples():
     assert apply_ladder(1, SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 2)
     assert apply_ladder(0, HypWave.constant(1)).is_zero
     assert apply_ladder(2, SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 3)
-    assert apply_ladder(LadderParam(Fraction(2)), SECH) == apply_ladder(2, SECH)
 
 
 @given(w=hyp_waves(), k=rationals)
@@ -201,9 +200,11 @@ def test_residual_examples():
     assert eigen_residual_symbolic(SECH, PoschlTeller(1), 0) == TanhPoly((-1,))
 
 
-def test_residual_rejects_deformed_family():
-    with pytest.raises(ValueError):
-        eigen_residual_symbolic(SECH, GammaDeformed(1.0, 2.0), 0)
+def test_residual_rejects_family_without_tanh_form():
+    zs = np.linspace(-5.0, 5.0, 11)
+    sampled = CustomPotential.from_arrays(zs, -2.0 / np.cosh(zs) ** 2)
+    with pytest.raises(ValueError, match="no exact tanh-polynomial form"):
+        eigen_residual_symbolic(SECH, sampled, -1)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 6])
