@@ -41,6 +41,7 @@ CONFIG_DEFAULTS = {
     "format": "json",
 }
 DEFORMED_TOL = 1e-5
+GRID_KEYS = ("grid_min", "grid_max", "grid_points")
 
 VERIFY_SECTIONS = (
     "riccati", "shape-invariance", "ladder", "relations",
@@ -184,7 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_command(argv: list[str]) -> Command:
-    """Parse argv and fold in config-file defaults (flags win)."""
+    """Parse argv and resolve every parameter the subcommand reads.
+
+    Flags win over config-file values, which win over built-in defaults.  This
+    is the only place a parameter gets its value: runners and check sections
+    read params[key] and never write to params, so the report's echo is the
+    resolved set.
+    """
     args = build_parser().parse_args(argv)
     config = load_config(args.config)
     fmt = args.format or config["format"]
@@ -195,7 +202,7 @@ def parse_command(argv: list[str]) -> Command:
     }
     sub = args.subcommand
     if sub in ("verify", "oracle"):
-        for key in ("grid_min", "grid_max", "grid_points", "tol"):
+        for key in (*GRID_KEYS, "tol"):
             params.setdefault(key, config[key])
     if sub == "verify":
         params.setdefault("scatter_half_width", config["scatter_half_width"])
@@ -206,6 +213,12 @@ def parse_command(argv: list[str]) -> Command:
         params.setdefault("scatter_step", config["scatter_step"])
     if sub == "deformed":
         params.setdefault("tol", DEFORMED_TOL)
+        given = [key for key in GRID_KEYS if key in params]
+        if given and len(given) != len(GRID_KEYS):
+            raise UsageError("give --grid-min, --grid-max and --grid-points together")
+        if not given:
+            grid = _deformed_default_grid(params["alpha"], params["beta"])
+            params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
@@ -213,26 +226,20 @@ def parse_command(argv: list[str]) -> Command:
 # helpers
 
 
-def _setting(params: dict, key: str):
-    """A resolved setting; a section run without parse_command gets the default."""
-    return params.get(key, CONFIG_DEFAULTS[key])
-
-
 def _grid(params: dict) -> fd_oracle.Grid:
-    return fd_oracle.Grid(_setting(params, "grid_min"), _setting(params, "grid_max"),
-                          int(_setting(params, "grid_points")))
+    return fd_oracle.Grid(params["grid_min"], params["grid_max"], params["grid_points"])
 
 
 def _family(params: dict) -> PoschlTeller | RosenMorseII:
-    family = params.get("family")
+    family = params["family"]
     if family == "poschl-teller":
-        if params.get("l") is None:
+        if "l" not in params:
             raise UsageError("--l is required for the sech-well family")
         return PoschlTeller(params["l"])
     if family == "rosen-morse":
-        if params.get("nprime") is None:
+        if "nprime" not in params:
             raise UsageError("--nprime is required for the tanh-tilted family")
-        return RosenMorseII(params["nprime"], params.get("B", Fraction(0)))
+        return RosenMorseII(params["nprime"], params["B"])
     raise UsageError(f"family {family!r} has no potential form here")
 
 
@@ -316,21 +323,20 @@ def checks_shape_invariance(params: dict) -> list[dict]:
 
 
 def checks_ladder(params: dict) -> list[dict]:
-    l_max = min(int(params.get("l_max", 5)), 10)
+    l_max = min(params["l_max"], 10)
     out = []
     for l in range(1, l_max + 1):
+        waves = [ladder_chain(l, n) for n in range(l + 1)]  # n = l is the edge state
         residuals_ok = all(
             eigen_residual_symbolic(
-                ladder_chain(l, n), PoschlTeller(l),
-                spectra.poschl_teller_energy(l, n),
+                waves[n], PoschlTeller(l), spectra.poschl_teller_energy(l, n),
             ).is_zero
             for n in range(l)
         )
         out.append(check(f"ladder-residuals-l-{l}", passed=residuals_ok))
         degree_parity_ok = all(
-            (wave := ladder_chain(l, n)).poly.degree == n
-            and wave.poly.reflected() == ((-1) ** n) * wave.poly
-            for n in range(l + 1)
+            wave.poly.degree == n and wave.poly.reflected() == ((-1) ** n) * wave.poly
+            for n, wave in enumerate(waves)
         )
         out.append(check(f"ladder-degree-parity-l-{l}", passed=degree_parity_ok))
     for l, m in ((2, 1), (3, 2), (4, 1), (5, 5)):
@@ -343,8 +349,8 @@ def checks_ladder(params: dict) -> list[dict]:
 
 
 def checks_relations(params: dict) -> list[dict]:
-    l_max = int(params.get("l_max", 5))
-    p_max = int(params.get("p_max", 4))
+    l_max = params["l_max"]
+    p_max = params["p_max"]
     out = []
     for l in range(1, l_max + 1):
         try:
@@ -435,7 +441,7 @@ def _fd_vs_closed_form(fam: PoschlTeller | RosenMorseII,
 
 def checks_spectra(params: dict) -> list[dict]:
     grid = _grid(params)
-    tol = _setting(params, "tol")
+    tol = params["tol"]
     out = []
     for l in range(1, 6):
         _levels, exact, evs = _fd_vs_closed_form(PoschlTeller(l), grid)
@@ -504,8 +510,8 @@ def checks_deformed(params: dict) -> list[dict]:
 
 
 def checks_scatter(params: dict) -> list[dict]:
-    half_width = _setting(params, "scatter_half_width")
-    step = _setting(params, "scatter_step")
+    half_width = params["scatter_half_width"]
+    step = params["scatter_step"]
     out = []
     for l in (1, 2, 3):
         for k in (0.5, 1.0, 2.0):
@@ -545,7 +551,7 @@ SECTION_RUNNERS = {
 def run_spectrum(params: dict) -> dict:
     extra = {}
     if params["family"] == "gegenbauer":
-        if params.get("p") is None or params.get("q") is None:
+        if "p" not in params or "q" not in params:
             raise UsageError("--p and --q are required for the ultraspherical family")
         red = spectra.gegenbauer_spectrum(params["p"], params["q"])
         entries = red.entries
@@ -634,23 +640,11 @@ def run_oracle(params: dict) -> dict:
 
 
 def run_deformed(params: dict) -> dict:
-    alpha, beta, n = params["alpha"], params["beta"], params["n"]
-    grid_keys = ("grid_min", "grid_max", "grid_points")
-    given = [k for k in grid_keys if k in params]
-    if given and len(given) != 3:
-        raise UsageError("give --grid-min, --grid-max and --grid-points together")
-    if given:
-        grid = _grid(params)
-    else:
-        grid = _deformed_default_grid(alpha, beta)
-        params["grid_min"] = grid.z_min
-        params["grid_max"] = grid.z_max
-        params["grid_points"] = grid.points
-    resid = spectra.gamma_deformed_residual(alpha, beta, n, grid)
-    tol = params["tol"]
+    resid = spectra.gamma_deformed_residual(params["alpha"], params["beta"], params["n"],
+                                            _grid(params))
     return {
         "residual": resid,
-        "checks": [check("deformed-zero-energy", resid, 0.0, tol, "fd-oracle")],
+        "checks": [check("deformed-zero-energy", resid, 0.0, params["tol"], "fd-oracle")],
     }
 
 
@@ -747,36 +741,31 @@ def render_csv(report: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every failure ends as one stderr line and an exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cmd = parse_command(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report, code = execute_command(cmd)
+        text = render_csv(report) if cmd.fmt == "csv" else render_json(report)
+        if cmd.output:
+            with open(cmd.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except SystemExit as exc:  # argparse already printed its message
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
-    try:
-        report, code = execute_command(cmd)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # bad flag or config, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # argparse accepted argv before anything below can be raised, and the
+    # top-level parser takes no option but -h, so argv[0] is the subcommand
     except (fd_oracle.NumericalError, OverflowError) as exc:
-        print(f"numerical failure in {cmd.subcommand!r}: {exc}", file=sys.stderr)
+        print(f"numerical failure in {argv[0]!r}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        print(f"error in {cmd.subcommand!r}: {exc}", file=sys.stderr)
+        print(f"error in {argv[0]!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        text = render_csv(report) if cmd.fmt == "csv" else render_json(report)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cmd.output:
-        with open(cmd.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
 
 
 if __name__ == "__main__":

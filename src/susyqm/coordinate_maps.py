@@ -136,7 +136,7 @@ def _theta_derivative(gamma: float, z: float) -> float:
     return _theta_complex(gamma, complex(z, h)).imag / h
 
 
-def first_derivative_coefficient(gamma: float, z: float, m: float = 0.0) -> float:
+def first_derivative_coefficient(gamma: float, z: float) -> float:
     """Residual of the first-derivative elimination condition at z.
 
     The transformed equation keeps a first-derivative term with coefficient
@@ -144,8 +144,7 @@ def first_derivative_coefficient(gamma: float, z: float, m: float = 0.0) -> floa
     makes it vanish.  f' is obtained by a complex step on the implemented map
     and f'' by a fourth-order stencil on those values, so the check exercises
     the actual map rather than a separately derived formula.  The coefficient
-    does not involve the eigenparameter m, which is accepted only for
-    signature compatibility.
+    does not involve the eigenparameter m.
 
     Vanishes to ~1e-10 well inside the chart; for gamma > 1 the map has a
     fractional-power singularity at the chart edge, so the numerical check

@@ -293,18 +293,19 @@ def _integrate_scattering(fam: PotentialFamily, k: float, energy: float,
 
 def scattering_amplitudes(fam: PotentialFamily, k: float,
                           half_width: float = SCATTER_HALF_WIDTH,
-                          step: float = SCATTER_STEP,
-                          check_step_halving: bool = True) -> ScatteringResult:
+                          step: float = SCATTER_STEP) -> ScatteringResult:
     """Reflection/transmission probabilities at wavenumber k above the asymptote.
 
     The incident energy is E = k^2 + V_inf.  Two built-in sanity checks guard
     the integration: flux conservation |R|^2 + |T|^2 = 1 within 1e-6, and
-    (unless disabled) agreement of |R|^2 between step h and h/2 within 1e-7.
-    Violations raise NumericalError with diagnostics.
+    agreement of |R|^2 between step h and h/2 within 1e-7.  Violations raise
+    NumericalError with diagnostics; a k, half width or step that is not
+    positive and finite raises ValueError.
     """
-    k = float(k)
-    if not (0.0 < k < math.inf):
-        raise ValueError(f"wavenumber must be positive and finite, got {k!r}")
+    k, half_width, step = float(k), float(half_width), float(step)
+    for name, value in (("wavenumber", k), ("half width", half_width), ("step", step)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     v_inf = _symmetric_asymptote(fam, half_width)
     energy = k * k + v_inf
 
@@ -327,21 +328,18 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
 
     n_steps = max(2, int(round(2.0 * half_width / step)))
     coarse = run(n_steps)
-    result = coarse
-    if check_step_halving:
-        fine = run(2 * n_steps)
-        drift = abs(fine.r2 - coarse.r2)
-        if not (drift <= STEP_HALVING_TOL):
-            raise NumericalError(
-                f"step-halving check failed: |R|^2 moved by {drift:.3e} "
-                f"between h = {coarse.step:.2e} and h = {fine.step:.2e}"
-            )
-        result = fine
-    if not (abs(result.flux_defect) <= FLUX_TOL):
+    fine = run(2 * n_steps)
+    drift = abs(fine.r2 - coarse.r2)
+    if not (drift <= STEP_HALVING_TOL):
         raise NumericalError(
-            f"flux conservation violated: 1 - (|R|^2 + |T|^2) = {result.flux_defect:.3e}"
+            f"step-halving check failed: |R|^2 moved by {drift:.3e} "
+            f"between h = {coarse.step:.2e} and h = {fine.step:.2e}"
         )
-    return result
+    if not (abs(fine.flux_defect) <= FLUX_TOL):
+        raise NumericalError(
+            f"flux conservation violated: 1 - (|R|^2 + |T|^2) = {fine.flux_defect:.3e}"
+        )
+    return fine
 
 
 def sech_well_reflection_exact(l: float, k: float) -> float:

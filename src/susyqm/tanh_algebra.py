@@ -391,12 +391,8 @@ def apply_ladder(k, w: HypWave) -> HypWave:
 
 
 def apply_lowering(k, w: HypWave) -> HypWave:
-    """Apply the annihilation operator d/dz + k tanh z exactly."""
-    kf = as_fraction(k)
-    if w.is_zero:
-        return w
-    poly = _d_poly(w.a, w.b, w.poly) + kf * TanhPoly.t() * w.poly
-    return HypWave(w.a, w.b, poly, w.prefactor)
+    """Apply the annihilation operator d/dz + k tanh z = -(-d/dz - k tanh z) exactly."""
+    return -apply_ladder(-as_fraction(k), w)
 
 
 def ladder_chain(n_prime, n: int) -> HypWave:

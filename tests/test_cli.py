@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from fractions import Fraction
@@ -96,6 +97,46 @@ def test_scatter_overflowing_amplitude_exits_3(k, capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("half_width", ["nan", "0", "-5", "inf"])
+def test_scatter_bad_half_width_exits_2(half_width, capsys):
+    code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1",
+                          f"--grid-max={half_width}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "half width must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
+    ["verify", "scatter"],
+])
+def test_config_zero_scatter_step_exits_2(argv, tmp_path, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("scatter_step = 0\n")
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "step must be positive and finite" in err
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["spectrum", "--family", "poschl-teller", "--l", "1",
+                          "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(target) in err
+    assert not target.exists()
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(["spectrum", "--family", "poschl-teller", "--l", "1",
+                          "--config", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_checks_spectra_nan_level_fails(monkeypatch):
     # a NaN after the first level is the case the builtin max() silently drops
     real = fd_oracle.bound_state_eigenvalues
@@ -104,7 +145,8 @@ def test_checks_spectra_nan_level_fails(monkeypatch):
         return real(*args, **kwargs)[:-1] + [math.nan]
 
     monkeypatch.setattr(fd_oracle, "bound_state_eigenvalues", last_level_nan)
-    fd_checks = [c for c in cli.checks_spectra({})
+    params = parse_command(["verify", "spectra"]).parameters
+    fd_checks = [c for c in cli.checks_spectra(params)
                  if c["id"].startswith("fd-vs-closed-form")]
     assert len(fd_checks) == 8
     assert not any(c["pass"] for c in fd_checks)
@@ -116,11 +158,11 @@ def test_checks_maps_nan_elimination_fails(monkeypatch):
     real = cli.cmaps.first_derivative_coefficient
     seen = set()
 
-    def nan_after_first(gamma, z, m=0.0):
+    def nan_after_first(gamma, z):
         if gamma in seen:
             return math.nan
         seen.add(gamma)
-        return real(gamma, z, m)
+        return real(gamma, z)
 
     monkeypatch.setattr(cli.cmaps, "first_derivative_coefficient", nan_after_first)
     elim = [c for c in cli.checks_maps({})
@@ -413,6 +455,23 @@ def test_execute_command_direct():
     assert report["entries"][0] == {"n": 0, "energy": -1.0, "kind": "bound"}
     assert render_json(report).endswith("\n")
     assert render_csv(report).splitlines()[-1] == "1,0.0,threshold"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "poschl-teller", "--l", "2"],
+    ["eigenfunction", "--family", "poschl-teller", "--l", "2", "--n", "1"],
+    ["map", "--gamma", "1", "--z", "0.5"],
+    ["verify", "ladder"],
+    ["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
+    ["oracle", "--family", "poschl-teller", "--l", "2"],
+    ["deformed", "--alpha", "1", "--beta", "2"],
+], ids=lambda argv: argv[0])
+def test_execute_command_leaves_parameters_unchanged(argv):
+    cmd = parse_command(argv)
+    before = copy.deepcopy(cmd.parameters)
+    report, _ = execute_command(cmd)
+    assert cmd.parameters == before
+    assert set(report["parameters"]) == set(before)
 
 
 def test_load_config_defaults():

@@ -103,8 +103,6 @@ def test_first_derivative_elimination_examples():
     assert abs(first_derivative_coefficient(0.0, 0.3)) <= 1e-10
     assert abs(first_derivative_coefficient(1.5, 0.2)) <= 1e-10
     assert abs(first_derivative_coefficient(0.0, 0.0)) <= 1e-12  # symmetric point
-    # the unused eigenparameter slot is accepted
-    assert abs(first_derivative_coefficient(0.5, 0.1, m=3.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)

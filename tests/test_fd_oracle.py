@@ -251,7 +251,7 @@ def test_scatter_rejects_sampled_potential():
 def test_scatter_rejects_undecayed_window():
     with pytest.raises(NumericalError):
         scattering_amplitudes(PoschlTeller(1), 1.0, half_width=3.0)
-    with pytest.raises(NumericalError):
+    with pytest.raises(ValueError, match="half width"):
         scattering_amplitudes(PoschlTeller(1), 1.0, half_width=math.nan)
 
 
@@ -259,6 +259,14 @@ def test_scatter_rejects_bad_wavenumber():
     for k in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             scattering_amplitudes(PoschlTeller(1), k)
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+def test_scatter_rejects_bad_window(value):
+    with pytest.raises(ValueError, match="half width must be positive and finite"):
+        scattering_amplitudes(PoschlTeller(1), 1.0, half_width=value)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        scattering_amplitudes(PoschlTeller(1), 1.0, step=value)
 
 
 def test_scatter_overflowing_amplitude_is_numerical_error():
@@ -298,10 +306,3 @@ def test_step_matrix_march_matches_sequential_rk4(fam, k, n_steps):
     assert isinstance(a, complex) and isinstance(b, complex)
     assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
     assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
-
-
-def test_step_halving_flag_consistency():
-    res_checked = scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1.0)
-    res_raw = scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1.0,
-                                    check_step_halving=False)
-    assert abs(res_checked.r2 - res_raw.r2) <= 1e-7
