@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -184,6 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def parse_command(argv: list[str]) -> Command:
     """Parse argv and resolve every parameter the subcommand reads.
 
@@ -192,7 +199,7 @@ def parse_command(argv: list[str]) -> Command:
     read params[key] and never write to params, so the report's echo is the
     resolved set.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     config = load_config(args.config)
     fmt = args.format or config["format"]
     params = {
@@ -205,6 +212,11 @@ def parse_command(argv: list[str]) -> Command:
         for key in (*GRID_KEYS, "tol"):
             params.setdefault(key, config[key])
     if sub == "verify":
+        # an empty range would run no check and still report a pass
+        if params["l_max"] < 1:
+            raise UsageError(f"--l-max must be at least 1, got {params['l_max']}")
+        if params["p_max"] < 0:
+            raise UsageError(f"--p-max must be nonnegative, got {params['p_max']}")
         params.setdefault("scatter_half_width", config["scatter_half_width"])
         params.setdefault("scatter_step", config["scatter_step"])
     if sub == "scatter":
@@ -323,7 +335,7 @@ def checks_shape_invariance(params: dict) -> list[dict]:
 
 
 def checks_ladder(params: dict) -> list[dict]:
-    l_max = min(params["l_max"], 10)
+    l_max = params["l_max"]
     out = []
     for l in range(1, l_max + 1):
         waves = [ladder_chain(l, n) for n in range(l + 1)]  # n = l is the edge state

@@ -1,6 +1,6 @@
 """Recurrence-based orthogonal polynomials and the exact cross-family identities.
 
-All coefficient arithmetic is over Fractions, so the classical second-order
+All coefficient arithmetic is exact (TanhPoly), so the classical second-order
 equations these families satisfy are checked as polynomial identities and the
 cross-family links are established with a single exact proportionality
 constant rather than pointwise fits.  No Condon-Shortley phase is used
@@ -10,6 +10,7 @@ constants it computes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,9 @@ def jacobi_poly(n: int, alpha, beta) -> TanhPoly:
 
     Three-term recurrence seeded by P_0 = 1 and
     P_1 = (alpha + 1) + (alpha + beta + 2)(t - 1)/2; requires alpha, beta > -1.
+    With alpha = A/d and beta = B/d the recurrence coefficients c0..c3 times
+    d^3 are integers, so the loop runs on int vectors over one int
+    denominator, P_j = u_j / e_j, with one gcd pass per step.
     """
     n = int(n)
     if n < 0:
@@ -34,18 +38,28 @@ def jacobi_poly(n: int, alpha, beta) -> TanhPoly:
     b = as_fraction(beta)
     if a <= -1 or b <= -1:
         raise ValueError(f"need alpha, beta > -1, got ({a}, {b})")
-    p_prev = TanhPoly.one()
     if n == 0:
-        return p_prev
-    p_cur = TanhPoly((a + 1 - (a + b + 2) / 2, (a + b + 2) / 2))
+        return TanhPoly.one()
+    d = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (d // a.denominator)
+    B = b.numerator * (d // b.denominator)
+    u_prev, e_prev = [1], 1
+    u_cur, e_cur = [A - B, A + B + 2 * d], 2 * d
     for j in range(2, n + 1):
-        c0 = 2 * j * (j + a + b) * (2 * j + a + b - 2)
-        c1 = (2 * j + a + b - 1) * (a * a - b * b)
-        c2 = (2 * j + a + b - 1) * (2 * j + a + b) * (2 * j + a + b - 2)
-        c3 = 2 * (j + a - 1) * (j + b - 1) * (2 * j + a + b)
-        p_next = (TanhPoly((c1, c2)) * p_cur - c3 * p_prev) * (Fraction(1) / c0)
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+        s = 2 * j * d + A + B  # d (2j + alpha + beta)
+        c0 = 2 * j * (j * d + A + B) * (s - 2 * d) * d
+        c1 = (s - d) * (A * A - B * B)
+        c2 = (s - d) * s * (s - 2 * d)
+        c3 = 2 * (j * d + A - d) * (j * d + B - d) * s
+        # c0 P_j = (c1 + c2 t) P_(j-1) - c3 P_(j-2)
+        f1, f2, f3 = c1 * e_prev, c2 * e_prev, c3 * e_cur
+        u_next = [f1 * x + f2 * y - f3 * z for x, y, z in
+                  zip(u_cur + [0], [0] + u_cur, u_prev + [0, 0])]
+        e_next = c0 * e_cur * e_prev
+        g = math.gcd(e_next, *u_next)
+        u_prev, e_prev = u_cur, e_cur
+        u_cur, e_cur = [v // g for v in u_next], e_next // g
+    return TanhPoly(u_cur) * Fraction(1, e_cur)
 
 
 def jacobi_values(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Every bound state handled by this package is such a product of fractional
 powers of (1 -+ tanh z) and a polynomial in tanh z.  Since d/dz = (1-t^2) d/dt
 maps this class into itself, differentiation, ladder operators and eigenvalue
-residuals can all be carried out with exact Fraction coefficients; a closed
-form is an eigenfunction if and only if its residual polynomial is identically
-zero, with no tolerances involved.
+residuals can all be carried out with exact rational coefficients (held as
+ints times one rational content); a closed form is an eigenfunction if and
+only if its residual polynomial is identically zero, with no tolerances
+involved.
 """
 
 from __future__ import annotations
@@ -33,21 +34,63 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class TanhPoly:
-    """Polynomial in t = tanh z with exact Fraction coefficients.
+def _split(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], int, int]:
+    """(primitive part, content numerator, content denominator) of
+    (num/den) * sum(ints[i] t^i), den > 0, in one gcd pass."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return (), 0, 1
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    num *= g
+    h = math.gcd(num, den)
+    return tuple(ints), num // h, den // h
 
-    coeffs[i] is the coefficient of t**i.  Trailing zeros are trimmed on
-    construction; the zero polynomial has empty coeffs and degree -1.
-    Instances are immutable and hashable.
+
+class TanhPoly:
+    """Polynomial in t = tanh z with exact rational coefficients.
+
+    Stored as content times primitive part (Knuth, TAOCP vol. 2, 4.6.1):
+    `_prim` is a tuple of ints with gcd 1 and a positive last entry, and the
+    content is the reduced ratio `_num / _den` with `_den > 0`; the zero
+    polynomial is `()` with content 0/1.  The split is unique, so equal
+    polynomials have equal fields.  By Gauss's lemma a product of primitive
+    parts is primitive, so multiplication needs no gcd over the coefficients;
+    every other operation is an int loop with at most one gcd pass.
+
+    coeffs[i] is the coefficient of t**i as a Fraction.  Trailing zeros are
+    trimmed on construction; the zero polynomial has empty coeffs and degree
+    -1.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_prim", "_num", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        values = [c if type(c) is int else as_fraction(c) for c in coeffs]
+        den = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (den // v.denominator) for v in values]
+        self._set(*_split(ints, 1, den))
+
+    def _set(self, prim: tuple[int, ...], num: int, den: int) -> None:
+        object.__setattr__(self, "_prim", prim)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, prim: tuple[int, ...], num: int, den: int) -> "TanhPoly":
+        """Instance from a primitive part and its reduced content num/den."""
+        p = object.__new__(cls)
+        p._set(prim, num, den)
+        return p
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], num: int, den: int) -> "TanhPoly":
+        """(num/den) * sum(ints[i] t^i), den > 0."""
+        return cls._of(*_split(ints, num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("TanhPoly is immutable")
@@ -69,53 +112,77 @@ class TanhPoly:
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(self._num * v, self._den) for v in self._prim)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._prim
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._prim) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self._prim):
+            return Fraction(self._num * self._prim[i], self._den)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TanhPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._prim, self._num, self._den) == (other._prim, other._num, other._den)
 
     def __hash__(self):
-        return hash(("TanhPoly", self.coeffs))
+        return hash(("TanhPoly", self._prim, self._num, self._den))
 
     def __neg__(self) -> "TanhPoly":
-        return TanhPoly(tuple(-c for c in self.coeffs))
+        return TanhPoly._of(self._prim, -self._num, self._den)
 
     def __add__(self, other: "TanhPoly") -> "TanhPoly":
         if not isinstance(other, TanhPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TanhPoly(out)
+        if not other._prim:
+            return self
+        if not self._prim:
+            return other
+        # c1 p + c2 q = (g / den) (m1 p + m2 q) with integer m1, m2
+        den = math.lcm(self._den, other._den)
+        m1 = self._num * (den // self._den)
+        m2 = other._num * (den // other._den)
+        g = math.gcd(m1, m2)
+        m1, m2 = m1 // g, m2 // g
+        p, q = self._prim, other._prim
+        if len(p) < len(q):
+            p, q, m1, m2 = q, p, m2, m1
+        out = [m1 * x + m2 * y for x, y in zip(p, q)]
+        out += [m1 * x for x in p[len(q):]]
+        return TanhPoly._from_ints(out, g, den)
 
     def __sub__(self, other: "TanhPoly") -> "TanhPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TanhPoly):
-            if self.is_zero or other.is_zero:
-                return TanhPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ci in enumerate(self.coeffs):
-                if ci:
-                    for j, cj in enumerate(other.coeffs):
-                        out[i + j] += ci * cj
-            return TanhPoly(out)
-        c = as_fraction(other)
-        return TanhPoly(tuple(c * x for x in self.coeffs))
+            # product of primitive parts, primitive by Gauss's lemma
+            p, q = self._prim, other._prim
+            if len(p) < len(q):
+                p, q = q, p
+            width = len(p)
+            out = [0] * (width + len(q) - 1)
+            for j, y in enumerate(q):
+                if y:
+                    out[j:j + width] = [o + y * x for o, x in zip(out[j:j + width], p)]
+            prim, num, den = tuple(out), other._num, other._den
+        else:
+            c = other if type(other) is int else as_fraction(other)
+            prim, num, den = self._prim, c.numerator, c.denominator
+        num *= self._num
+        if not num:
+            return TanhPoly.zero()
+        den *= self._den
+        g = math.gcd(num, den)
+        return TanhPoly._of(prim, num // g, den // g)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -134,30 +201,42 @@ class TanhPoly:
 
     def derivative(self) -> "TanhPoly":
         """d/dt, exact."""
-        return TanhPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return TanhPoly._from_ints([i * v for i, v in enumerate(self._prim)][1:],
+                                   self._num, self._den)
 
     def reflected(self) -> "TanhPoly":
         """The polynomial P(-t)."""
-        return TanhPoly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        # coefficient i picks up (-1)^i; multiplying through by (-1)^degree
+        # keeps the last entry positive, and the gcd is unchanged
+        n = self.degree
+        prim = tuple(-v if (n - i) % 2 else v for i, v in enumerate(self._prim))
+        return TanhPoly._of(prim, -self._num if n % 2 else self._num, self._den)
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int arguments, float otherwise."""
         if isinstance(x, (Fraction, int)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            # v^n P(u/v) = sum p_i u^i v^(n-i), all in ints
+            u, v = x.numerator, x.denominator
+            acc, v_power = 0, 1
+            for c in reversed(self._prim):
+                acc = acc * u + c * v_power
+                v_power *= v
+            return Fraction(self._num * acc * v, self._den * v_power)
         acc = 0.0
         xf = float(x)
-        for c in reversed(self.coeffs):
-            acc = acc * xf + float(c)
+        for c in reversed(self._float_coeffs()):
+            acc = acc * xf + c
         return acc
+
+    def _float_coeffs(self) -> list[float]:
+        """Each coefficient correctly rounded, as float(Fraction) would give it."""
+        return [self._num * v / self._den for v in self._prim]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Vectorized float Horner evaluation."""
         acc = np.zeros_like(x, dtype=float)
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in reversed(self._float_coeffs()):
+            acc = acc * x + c
         return acc
 
     def deflate(self, sign: int):
@@ -165,20 +244,20 @@ class TanhPoly:
 
         Returns the quotient if the division is exact, else None.
         """
-        if self.is_zero:
+        p = self._prim
+        # exact iff P(sign) = 0
+        if not p or (sum(p) if sign == 1 else sum(p[::2]) - sum(p[1::2])):
             return None
-        root = Fraction(sign)  # (1 -+ t) vanishes at t = +-1
-        rem = Fraction(0)
-        quot = [Fraction(0)] * (len(self.coeffs) - 1)
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            rem = rem * root + self.coeffs[i]
-            if i > 0:
-                quot[i - 1] = rem
-        if rem != 0:
-            return None
-        # self = (t - root) * quot;  (1 - t) = -(t - 1), (1 + t) = (t + 1)
-        q = TanhPoly(quot)
-        return -q if sign == 1 else q
+        # synthetic division by (t - sign), from the top
+        rem = 0
+        running = []
+        for c in reversed(p[1:]):
+            rem = rem * sign + c
+            running.append(rem)
+        # self = (t - sign) * quot, and quot is primitive with the same leading
+        # entry (Gauss's lemma); (1 - t) = -(t - 1), (1 + t) = (t + 1)
+        return TanhPoly._of(tuple(reversed(running)),
+                            -self._num if sign == 1 else self._num, self._den)
 
     def primitive(self):
         """Split into content * primitive with integer coefficients and positive lead.
@@ -187,16 +266,7 @@ class TanhPoly:
         """
         if self.is_zero:
             return TanhPoly.zero(), Fraction(0)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, abs(v))
-        if nums[-1] < 0:
-            g = -g
-        return TanhPoly(tuple(Fraction(v, g) for v in nums)), Fraction(g, den)
+        return TanhPoly._of(self._prim, 1, 1), Fraction(self._num, self._den)
 
     def __repr__(self):
         if self.is_zero:
@@ -364,14 +434,25 @@ def eval_wave_array(w: HypWave, z: np.ndarray) -> np.ndarray:
     return val * w.poly.values(np.tanh(z))
 
 
+def _d_ints(A: int, B: int, d: int, p: tuple[int, ...]) -> list[int]:
+    """d times the t^i coefficients of _d_poly at exponents (A/d, B/d) for the
+    int polynomial p: (B-A) p_i + d(i+1) p_(i+1) - (A+B+d(i-1)) p_(i-1)."""
+    padded = (0, *p, 0, 0)  # padded[i + 1] = p_i
+    return [(B - A) * mid + d * (i + 1) * hi - (A + B + d * (i - 1)) * lo
+            for i, (lo, mid, hi) in enumerate(zip(padded, padded[1:], padded[2:]))]
+
+
 def _d_poly(a: Fraction, b: Fraction, poly: TanhPoly) -> TanhPoly:
     """Polynomial part of d/dz applied at fixed weight exponents (a, b).
 
-    d/dz [(1-t)^a (1+t)^b P] = (1-t)^a (1+t)^b [ (b(1-t) - a(1+t)) P + (1-t^2) P' ].
+    d/dz [(1-t)^a (1+t)^b P] = (1-t)^a (1+t)^b [ (b(1-t) - a(1+t)) P + (1-t^2) P' ],
+    whose t^i coefficient is (b-a) p_i + (i+1) p_(i+1) - (a+b+i-1) p_(i-1):
+    with a = A/d and b = B/d, one int loop over the primitive part.
     """
-    one = TanhPoly.one()
-    t = TanhPoly.t()
-    return (b * (one - t) - a * (one + t)) * poly + (one - t * t) * poly.derivative()
+    d = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (d // a.denominator)
+    B = b.numerator * (d // b.denominator)
+    return TanhPoly._from_ints(_d_ints(A, B, d, poly._prim), poly._num, poly._den * d)
 
 
 def differentiate_z(w: HypWave) -> HypWave:
@@ -382,12 +463,16 @@ def differentiate_z(w: HypWave) -> HypWave:
 
 
 def apply_ladder(k, w: HypWave) -> HypWave:
-    """Apply the raising operator -d/dz + k tanh z exactly."""
+    """Apply the raising operator -d/dz + k tanh z exactly.
+
+    -d/dz + k tanh z = -cosh^k z (d/dz) sech^k z, and sech^k z only adds k/2
+    to both weight exponents, so this is one _d_poly at shifted exponents.
+    """
     kf = as_fraction(k)
     if w.is_zero:
         return w
-    poly = -_d_poly(w.a, w.b, w.poly) + kf * TanhPoly.t() * w.poly
-    return HypWave(w.a, w.b, poly, w.prefactor)
+    half = kf / 2
+    return HypWave(w.a, w.b, -_d_poly(w.a + half, w.b + half, w.poly), w.prefactor)
 
 
 def apply_lowering(k, w: HypWave) -> HypWave:
@@ -414,10 +499,17 @@ def ladder_chain(n_prime, n: int) -> HypWave:
         raise ValueError(
             f"n' - n = {depth} < 0: no such state in the depth-{np_} well"
         )
-    w = HypWave.sech_power(depth)
+    # As in apply_ladder, raising by k at weights depth/2 is -_d_poly at
+    # exponents (depth + k)/2; with k = depth + 1 + j that is e/d below.  The
+    # operators act on functions, so the weights stay at depth/2 and only the
+    # final wave needs its canonical form.
+    d = 2 * depth.denominator
+    prim, num, den = (1,), 1, 1
     for j in range(n):
-        w = apply_ladder(depth + 1 + j, w)
-    return w
+        e = 2 * depth.numerator + (1 + j) * depth.denominator
+        prim, num, den = _split(_d_ints(e, e, d, prim), -num, den * d)
+    half = depth / 2
+    return HypWave(half, half, TanhPoly._of(prim, num, den))
 
 
 def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:

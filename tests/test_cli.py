@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,6 +55,32 @@ def test_parse_rejects_bad_rational(capsys):
 def test_parse_rejects_unknown_subcommand(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ladder", "--l-max", "0"],
+    ["verify", "ladder", "--l-max", "-1"],
+    ["verify", "relations", "--l-max", "0"],
+    ["verify", "relations", "--p-max", "-1"],
+], ids=["l-max-0", "l-max-neg", "relations-l-max-0", "p-max-neg"])
+def test_verify_rejects_empty_check_ranges(argv, capsys):
+    # a range that runs no check must not report a pass
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert argv[2] in err
+
+
+def test_parser_reused_after_usage_error(capsys):
+    argv = ["spectrum", "--family", "rosen-morse", "--nprime", "5/2", "--B", "1/2"]
+    assert run(["verify", "--bogus"], capsys)[0] == 2
+    code, out, _ = run(argv, capsys)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(CONFIG_ENV_VAR, None)
+    fresh = subprocess.run([sys.executable, "-m", "susyqm", *argv], env=env,
+                           capture_output=True, text=True, check=False)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +379,15 @@ def test_verify_single_section(capsys):
     rep = json.loads(out)
     assert set(rep["sections"]) == {"riccati"}
     assert rep["summary"]["failed"] == 0
+
+
+def test_verify_ladder_is_not_capped(capsys):
+    code, out, _ = run(["verify", "ladder", "--l-max", "12"], capsys)
+    assert code == 0
+    checks = {c["id"]: c["pass"] for c in json.loads(out)["sections"]["ladder"]}
+    assert checks["ladder-residuals-l-12"] is True
+    assert checks["ladder-degree-parity-l-12"] is True
+    assert len(checks) == 2 * 12 + 4
 
 
 def test_verify_csv_rendering(capsys):

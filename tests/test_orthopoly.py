@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -166,3 +168,16 @@ def test_gegenbauer_identity_validates():
         check_gegenbauer_identity(2, Fraction(1, 2))  # below 3/2
     with pytest.raises(ValueError):
         check_gegenbauer_identity(2, 2)  # not half-integer
+
+
+def _sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_jacobi_and_legendre_golden():
+    # sha256 of the printed Fractions, taken from the earlier Fraction-per-coefficient TanhPoly
+    coeffs = [str(c) for c in jacobi_poly(24, Fraction(1, 2), Fraction(3, 2)).coeffs]
+    assert _sha(coeffs) == "a7fa1e4abbe218a0e0e246b60a47bbc1c396be665859a5de65b843f5d416415f"
+    constants = [str(check_legendre_identity(24, m)) for m in range(1, 25)]
+    assert _sha(constants) == "f301126252200376fee3efd97ad1a16e78081ee2429c577d8600d67683285e27"

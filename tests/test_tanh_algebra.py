@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -6,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import hyp_waves, nonzero_rationals, rationals, tanh_polys
+from conftest import hyp_waves, nonzero_rationals, rationals, small_exponents, tanh_polys
 from susyqm import (
-    CustomPotential, HypWave, PoschlTeller, TanhPoly, apply_ladder, apply_lowering,
-    differentiate_z, eigen_residual_symbolic, eval_wave, eval_wave_array,
-    ladder_chain, poschl_teller_energy,
+    CustomPotential, HypWave, PoschlTeller, RosenMorseII, TanhPoly, apply_ladder,
+    apply_lowering, differentiate_z, eigen_residual_symbolic, eval_wave,
+    eval_wave_array, ladder_chain, poschl_teller_energy,
 )
+from susyqm.cli import _wave_payload
+from susyqm.tanh_algebra import _d_poly
 
 SECH = HypWave.sech_power(1)
 T = TanhPoly.t()
@@ -54,6 +58,87 @@ def test_poly_ring_axioms(p, q):
 @given(p=tanh_polys(), q=tanh_polys())
 def test_poly_derivative_product_rule(p, q):
     assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+
+# ---------------------------------------------------------------------------
+# TanhPoly against a plain list-of-Fraction reference, coefficient by coefficient
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(p, q):
+    n = max(len(p), len(q))
+    return ref_trim((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                    for i in range(n))
+
+
+def ref_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_eval(p, x):
+    return sum((c * x ** i for i, c in enumerate(p)), Fraction(0))
+
+
+def ref_d_poly(a, b, p):
+    """(b(1-t) - a(1+t)) P + (1 - t^2) P', by convolution."""
+    dp = [i * c for i, c in enumerate(p)][1:]
+    return ref_add(ref_mul([b - a, -(a + b)], p), ref_mul([1, 0, -1], dp))
+
+
+@given(p=tanh_polys(), q=tanh_polys(), c=rationals)
+def test_poly_ops_match_reference(p, q, c):
+    rp, rq = list(p.coeffs), list(q.coeffs)
+    assert rp == ref_trim(rp) and all(isinstance(x, Fraction) for x in rp)
+    assert list((p + q).coeffs) == ref_add(rp, rq)
+    assert list((p - q).coeffs) == ref_add(rp, [-x for x in rq])
+    assert list((-p).coeffs) == ref_trim(-x for x in rp)
+    assert list((p * q).coeffs) == ref_mul(rp, rq)
+    assert list((c * p).coeffs) == list((p * c).coeffs) == ref_trim(c * x for x in rp)
+    assert list(p.derivative().coeffs) == ref_trim(i * x for i, x in enumerate(rp))[1:]
+    assert list(p.reflected().coeffs) == ref_trim((-1) ** i * x for i, x in enumerate(rp))
+    assert [p.coefficient(i) for i in range(-1, len(rp) + 1)] == [0, *rp, 0]
+    assert p(c) == ref_eval(rp, c)
+    assert p == TanhPoly(rp) and hash(p) == hash(TanhPoly(rp))
+
+
+@given(p=tanh_polys(), sign=st.sampled_from([1, -1]), multiply=st.booleans())
+def test_poly_deflate_matches_reference(p, sign, multiply):
+    rp = list(p.coeffs)
+    if multiply:  # make the division exact
+        p, rp = p * TanhPoly((1, -sign)), ref_mul(rp, [1, -sign])
+    q = p.deflate(sign)
+    if q is None:
+        assert not rp or ref_eval(rp, Fraction(sign)) != 0
+    else:
+        assert ref_mul([1, -sign], list(q.coeffs)) == rp
+
+
+@given(p=tanh_polys())
+def test_poly_primitive_matches_reference(p):
+    prim, content = p.primitive()
+    rp = list(p.coeffs)
+    if not rp:
+        assert prim.is_zero and content == 0
+        return
+    ints = list(prim.coeffs)
+    assert all(x.denominator == 1 for x in ints) and ints[-1] > 0
+    assert math.gcd(*(x.numerator for x in ints)) == 1
+    assert ref_trim(content * x for x in ints) == rp
+
+
+@given(a=small_exponents, b=small_exponents, p=tanh_polys(max_degree=6))
+def test_d_poly_matches_reference(a, b, p):
+    assert list(_d_poly(a, b, p).coeffs) == ref_d_poly(a, b, list(p.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +315,25 @@ def test_derivative_matches_finite_difference(w):
     for z in np.linspace(-5.0, 5.0, 41):
         fd = (eval_wave(w, z + h) - eval_wave(w, z - h)) / (2.0 * h)
         assert abs(eval_wave(d, z) - fd) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# golden pins: sha256 of exact report payloads, taken from the earlier
+# Fraction-per-coefficient TanhPoly
+
+
+def payload_sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("build, sha", [
+    (lambda: ladder_chain(60, 59),
+     "7a658d6b7f19e593cfca3c0eb44525c6d97029f1ef82b7bac5795c11d827cb51"),
+    (lambda: ladder_chain(Fraction(121, 2), 30),
+     "39e6d2b6329e5847cbfddf3a5efa3e633bf566612e4e2e13dad04bac6a8920b8"),
+    (lambda: RosenMorseII(30, Fraction(39, 2)).eigenfunction(25),
+     "4f0a08f3c6b2b68c96eba372336760847b22ca600a7f10de9571a8e22cbaf6a9"),
+], ids=["sech-60-59", "sech-121/2-30", "tilted-30-39/2-25"])
+def test_wave_payload_golden(build, sha):
+    assert payload_sha(_wave_payload(build())) == sha
