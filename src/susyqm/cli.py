@@ -42,6 +42,9 @@ CONFIG_DEFAULTS = {
     "format": "json",
 }
 DEFORMED_TOL = 1e-5
+# most levels, grid points or RK4 lattice points one command may ask for; the
+# defaults need at most 160001 (the lattice of the finer scattering march)
+SIZE_CAP = 2_000_000
 GRID_KEYS = ("grid_min", "grid_max", "grid_points")
 
 VERIFY_SECTIONS = (
@@ -231,7 +234,33 @@ def parse_command(argv: list[str]) -> Command:
         if not given:
             grid = _deformed_default_grid(params["alpha"], params["beta"])
             params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
+    for what, size in _request_sizes(sub, params):
+        # float() of a size past the double range raises OverflowError: main exits 3
+        size = float(size)
+        if size > SIZE_CAP:
+            raise UsageError(f"{size:.4g} {what} requested, above the size cap of {SIZE_CAP}")
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
+
+
+def _request_sizes(sub: str, params: dict):
+    """(what, size) of everything a command would allocate per level, grid
+    point or RK4 lattice point, computed without allocating any of it."""
+    if sub in ("spectrum", "oracle"):
+        if params["family"] == "gegenbauer":
+            if "p" in params and "q" in params:
+                yield "levels", math.ceil(params["p"] + params["q"])
+        else:
+            # levels() is range(count); .stop is count even past len()'s limit
+            yield "levels", _family(params).levels().stop
+    if "grid_points" in params:
+        yield "grid points", params["grid_points"]
+    if sub == "scatter" or (sub == "verify" and params["section"] in ("scatter", "all")):
+        half_width = params["grid_max" if sub == "scatter" else "scatter_half_width"]
+        step = params["scatter_step"]
+        # other values are rejected by scattering_amplitudes, with its own message
+        if 0.0 < half_width < math.inf and 0.0 < step < math.inf:
+            # the step-halving check marches twice the steps of 2 * half_width / step
+            yield "RK4 lattice points", 8.0 * half_width / step + 1.0
 
 
 # ----------------------------------------------------------------------------
@@ -366,8 +395,7 @@ def checks_relations(params: dict) -> list[dict]:
     out = []
     for l in range(1, l_max + 1):
         try:
-            for m in range(1, l + 1):
-                orthopoly.check_legendre_identity(l, m)
+            orthopoly.legendre_links(l, range(1, l + 1))
             out.append(check(f"legendre-ladder-link-l-{l}", passed=True))
         except orthopoly.ProportionalityError as exc:
             out.append(check(f"legendre-ladder-link-l-{l}", str(exc), passed=False))
@@ -440,33 +468,34 @@ def checks_maps(params: dict) -> list[dict]:
     return out
 
 
-def _fd_vs_closed_form(fam: PoschlTeller | RosenMorseII,
-                       grid: fd_oracle.Grid) -> tuple[list[int], list[float], list[float]]:
-    """A family's bound levels, their closed-form energies as floats, and the
-    finite-difference eigenvalues below its FD ceiling on the grid."""
-    levels = fam.levels()
-    exact = [float(fam.energy(n)) for n in levels]
-    evs = fd_oracle.bound_state_eigenvalues(
-        fd_oracle.discretize(fam, grid), below=fam.fd_ceiling, max_count=len(levels) + 3)
-    return levels, exact, evs
+def _fd_vs_closed_form(fams: list[PoschlTeller | RosenMorseII], grid: fd_oracle.Grid
+                       ) -> list[tuple[range, list[float], list[float]]]:
+    """Per family: its bound levels, their closed-form energies as floats, and
+    the finite-difference eigenvalues below its FD ceiling on the grid, all
+    families solved as one batch."""
+    levels = [fam.levels() for fam in fams]
+    evs = fd_oracle.bound_state_eigenvalues_batch(
+        [(fd_oracle.discretize(fam, grid), fam.fd_ceiling, len(lv) + 3)
+         for fam, lv in zip(fams, levels)])
+    return [(lv, [float(fam.energy(n)) for n in lv], ev)
+            for fam, lv, ev in zip(fams, levels, evs)]
 
 
 def checks_spectra(params: dict) -> list[dict]:
-    grid = _grid(params)
     tol = params["tol"]
+    tilted = [RosenMorseII(n_prime, b) for n_prime, b in (
+        (Fraction(2), Fraction(1, 2)), (Fraction(3), Fraction(1)), (Fraction(5, 2), Fraction(1, 2)))]
+    solved = _fd_vs_closed_form([PoschlTeller(l) for l in range(1, 6)] + tilted, _grid(params))
     out = []
-    for l in range(1, 6):
-        _levels, exact, evs = _fd_vs_closed_form(PoschlTeller(l), grid)
+    for l, (_levels, exact, evs) in zip(range(1, 6), solved):
         count_ok = len(evs) == len(exact)
         worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
         out.append(check(f"fd-vs-closed-form-sech-l-{l}", worst, 0.0, tol, "fd-oracle",
                          passed=count_ok and worst <= tol))
         out.append(check(f"fd-level-count-sech-l-{l}", provenance="fd-oracle",
                          passed=count_ok))
-    for n_prime, b in ((Fraction(2), Fraction(1, 2)), (Fraction(3), Fraction(1)),
-                       (Fraction(5, 2), Fraction(1, 2))):
-        fam = RosenMorseII(n_prime, b)
-        levels, exact, evs = _fd_vs_closed_form(fam, grid)
+    for fam, (levels, exact, evs) in zip(tilted, solved[5:]):
+        n_prime, b = fam.n_prime, fam.B
         count_ok = len(evs) == len(exact)
         worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
         out.append(check(f"fd-vs-closed-form-tilted-{n_prime}-{b}", worst, 0.0, tol,
@@ -641,7 +670,7 @@ def run_scatter(params: dict) -> dict:
 def run_oracle(params: dict) -> dict:
     fam = _family(params)
     tol = params["tol"]
-    levels, exact, evs = _fd_vs_closed_form(fam, _grid(params))
+    [(levels, exact, evs)] = _fd_vs_closed_form([fam], _grid(params))
     checks = [check("fd-level-count", provenance="fd-oracle", passed=len(evs) == len(levels))]
     rows = []
     for n, e_exact, e_fd in zip(levels, exact, evs):

@@ -7,9 +7,12 @@ results is a genuine cross-check.  Defaults: z in [-12, 12] with 2001 points
 Dirichlet boxes for bound states, eigenvalues bracketed to 1e-10 by Sturm
 multisection (63 interior shifts per bracket and sweep, a 200-sweep cap that
 raises when exhausted), and fixed-step classical 4th-order integration with
-h = 1e-3 for scattering.  The scattering equation is linear, so each RK4 step
-is a real 2x2 matrix; the march is their ordered product, formed chunk by
-chunk with a pairwise (log-depth) reduction.
+h = 1e-3 for scattering.  Operators of one size are solved as a batch: each
+sweep counts the shifts of every operator in one row loop, and each operator
+leaves the batch when all of its own brackets have converged, so its
+eigenvalues do not depend on what else is in the batch.  The scattering
+equation is linear, so each RK4 step is a real 2x2 matrix; the march is their
+ordered product, formed chunk by chunk with a pairwise (log-depth) reduction.
 """
 
 from __future__ import annotations
@@ -94,80 +97,150 @@ def discretize(fam: PotentialFamily, grid: Grid) -> TridiagonalOperator:
 
 
 def _counts_below(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray,
-                  pivmin: float) -> np.ndarray:
-    """Sturm count of eigenvalues strictly below each shift (vectorized over shifts)."""
-    q = d[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+                  owner: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
+    """Sturm counts of eigenvalues strictly below each shift, in one row loop.
+
+    Column k of d (rows x operators) and of e2 (rows - 1 x operators) holds
+    the diagonal and the squared off-diagonal of operator k, and pivmin[k] its
+    pivot floor; shift j is counted for operator owner[j].  Each row spreads
+    one short row of d and e2 over the shifts, so no array of rows x shifts
+    is ever formed.
+    """
+    piv = pivmin.take(owner)
+    neg_piv = -piv
+    q = d[0].take(owner) - shifts
+    q = np.where(np.abs(q) < piv, neg_piv, q)
     counts = (q < 0).astype(np.int64)
     for i in range(1, d.shape[0]):
-        q = d[i] - shifts - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        q = d[i].take(owner) - shifts - e2[i - 1].take(owner) / q
+        q = np.where(np.abs(q) < piv, neg_piv, q)
         counts += q < 0
     return counts
 
 
+def _stacked(ops: list[TridiagonalOperator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals and squared off-diagonals as columns, and each operator's pivot floor."""
+    d = np.stack([op.diagonal for op in ops], axis=1)
+    e2 = np.stack([op.off_diagonal * op.off_diagonal for op in ops], axis=1)
+    return d, e2, np.maximum(1.0, e2.max(axis=0, initial=0.0)) * 1e-300
+
+
+def _gershgorin_lower(op: TridiagonalOperator) -> float:
+    """Lower bound on every eigenvalue (Gershgorin discs)."""
+    pad = np.concatenate(([0.0], np.abs(op.off_diagonal), [0.0]))
+    return float(np.min(op.diagonal - pad[:-1] - pad[1:]))
+
+
 def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     """Number of eigenvalues of the operator strictly below shift."""
-    e2 = op.off_diagonal ** 2
-    pivmin = max(1.0, float(e2.max(initial=0.0))) * 1e-300
-    return int(_counts_below(op.diagonal, e2, np.array([float(shift)]), pivmin)[0])
+    d, e2, pivmin = _stacked([op])
+    return int(_counts_below(d, e2, np.array([float(shift)]), np.zeros(1, np.intp),
+                             pivmin)[0])
 
 
 def bound_state_eigenvalues(op: TridiagonalOperator, below: float,
                             max_count: int, tol: float = BISECTION_TOL,
                             max_iter: int = BISECTION_MAX_ITER) -> list[float]:
-    """All eigenvalues below a threshold, by multisection on the Sturm count.
+    """All eigenvalues of one operator below a threshold, ascending.
 
-    Every sweep splits each bracket at MULTISECTION_SHIFTS interior shifts,
-    counted in one vectorized pass, and keeps the sub-interval where the count
-    first reaches the bracket's index (Barth, Martin & Wilkinson 1967).  Each
-    eigenvalue is bracketed to `tol`, or to two ulps where `tol` is below the
-    float spacing; results are ascending and deterministic.  Finding more than
-    max_count eigenvalues, or needing more than max_iter sweeps, raises
-    instead of returning an unconverged answer.
+    The batch of one: bound_state_eigenvalues_batch gives the method, the
+    stopping rule and the errors.
     """
-    d = op.diagonal
-    e = op.off_diagonal
-    e2 = e * e
-    pivmin = max(1.0, float(e2.max(initial=0.0))) * 1e-300
+    return bound_state_eigenvalues_batch([(op, below, max_count)], tol, max_iter)[0]
 
-    pad = np.concatenate(([0.0], np.abs(e), [0.0]))
-    lower = float(np.min(d - pad[:-1] - pad[1:]))  # Gershgorin
-    upper = float(below)
-    if lower >= upper:
-        return []
-    total = int(_counts_below(d, e2, np.array([upper]), pivmin)[0])
-    if total == 0:
-        return []
-    if total > max_count:
-        raise NumericalError(
-            f"{total} eigenvalues found below {below}, exceeding max_count = {max_count}"
-        )
 
-    los = np.full(total, lower)
-    his = np.full(total, upper)
-    wanted = np.arange(1, total + 1)[:, None]
+def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, float, int]],
+                                  tol: float = BISECTION_TOL,
+                                  max_iter: int = BISECTION_MAX_ITER) -> list[list[float]]:
+    """Eigenvalues below a threshold for several operators of one size, by multisection.
+
+    Each request is (operator, below, max_count); the result lists, in request
+    order, each operator's ascending eigenvalues below its `below`.  Every
+    sweep splits each bracket at MULTISECTION_SHIFTS interior shifts and keeps
+    the sub-interval where the Sturm count first reaches the bracket's index
+    (Barth, Martin & Wilkinson 1967).  The shifts of every bracket of every
+    operator are counted in a single row loop per sweep.  All brackets of an
+    operator start as [Gershgorin bound, below], so the first sweep counts
+    each operator's shifts once, together with its ceiling, which gives the
+    number of brackets.
+
+    An operator's brackets leave the batch together, at the start of the
+    first sweep in which none of them is wider than max(tol, two ulps);
+    until then all of them keep narrowing.  This is the stopping rule
+    of an operator run alone, so each result is the same to the bit whatever
+    else is in the batch.  Finding more than max_count eigenvalues for an
+    operator, or one still unconverged after max_iter sweeps, raises instead
+    of returning an unconverged answer.
+    """
+    ops = [op for op, _below, _max_count in requests]
+    results: list[list[float]] = [[] for _ in ops]
+    if not ops:
+        return results
+    if len({op.size for op in ops}) != 1:
+        raise ValueError("the operators of one batch must have the same size")
+    d, e2, pivmin = _stacked(ops)
     fractions = np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)
-    rows = np.arange(total)
+    lower = np.array([_gershgorin_lower(op) for op in ops])
+    upper = np.array([float(below) for _op, below, _max_count in requests])
+    live = np.flatnonzero(lower < upper)
+    if not live.size:
+        return results
+    lo, hi = lower[live], upper[live]
+    # per live operator: its shifts in [lower, upper], then its ceiling
+    first_shifts = np.concatenate((lo[:, None] + (hi - lo)[:, None] * fractions,
+                                   hi[:, None]), axis=1)
+    first_counts = _counts_below(d, e2, first_shifts.ravel(),
+                                 np.repeat(live, MULTISECTION_SHIFTS + 1),
+                                 pivmin).reshape(live.size, -1)
+    totals = first_counts[:, -1]
+    for k, total in zip(live.tolist(), totals.tolist()):
+        _op, below, max_count = requests[k]
+        if total and total > max_count:
+            raise NumericalError(
+                f"{total} eigenvalues found below {below}, exceeding max_count = {max_count}"
+            )
+
+    # the brackets of all operators, flat; owner[b] is bracket b's request
+    owner = np.repeat(live, totals)
+    if not owner.size:
+        return results
+    los = np.repeat(lo, totals)
+    his = np.repeat(hi, totals)
+    wanted = np.concatenate([np.arange(1, total + 1) for total in totals.tolist()])[:, None]
+    counts = np.repeat(first_counts[:, :-1], totals, axis=0)
     for sweep in range(max_iter + 1):
         width = his - los
         floor = 2.0 * np.spacing(np.maximum(np.abs(los), np.abs(his)))
-        if np.all(width <= np.maximum(tol, floor)):
-            return [float(x) for x in 0.5 * (los + his)]
+        converged = width <= np.maximum(tol, floor)  # False for a NaN width
+        unconverged = np.bincount(owner[~converged], minlength=len(ops))
+        leaving = unconverged[owner] == 0
+        if leaving.any():
+            mids = 0.5 * (los + his)
+            for k in dict.fromkeys(owner[leaving].tolist()):
+                results[k] = mids[owner == k].tolist()
+            staying = ~leaving
+            owner, los, his, width, wanted, counts = (
+                a[staying] for a in (owner, los, his, width, wanted, counts))
+            if not owner.size:
+                return results
         if sweep == max_iter:
             raise NumericalError(
                 f"eigenvalue brackets did not reach {tol:.1e} in {max_iter} multisection "
-                f"sweeps; widest is {float(np.max(width)):.3e}"
+                f"sweeps; widest is {float(np.max(width[owner == owner[0]])):.3e}"
             )
         # edges[:, j] for j = 0..S+1 run from lo through the S shifts to hi
-        edges = np.empty((total, MULTISECTION_SHIFTS + 2))
+        edges = np.empty((owner.size, MULTISECTION_SHIFTS + 2))
         edges[:, 0] = los
         edges[:, 1:-1] = los[:, None] + width[:, None] * fractions
         edges[:, -1] = his
-        counts = _counts_below(d, e2, edges[:, 1:-1].ravel(), pivmin).reshape(total, -1)
+        if sweep:  # the first sweep's counts came with the ceilings
+            counts = _counts_below(d, e2, edges[:, 1:-1].ravel(),
+                                   np.repeat(owner, MULTISECTION_SHIFTS),
+                                   pivmin).reshape(owner.size, -1)
         # the count at hi always reaches the index, so argmax finds a True
-        reached = np.concatenate((counts >= wanted, np.ones((total, 1), bool)), axis=1)
+        reached = np.concatenate((counts >= wanted, np.ones((owner.size, 1), bool)), axis=1)
         first = np.argmax(reached, axis=1)
+        rows = np.arange(owner.size)
         los = edges[rows, first]
         his = edges[rows, first + 1]
 

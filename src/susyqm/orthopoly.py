@@ -103,15 +103,20 @@ def legendre_poly(l: int) -> TanhPoly:
     return jacobi_poly(l, 0, 0)
 
 
+def legendre_derivatives(l: int, m_max: int) -> list[TanhPoly]:
+    """d^m/dt^m P_l(t) for m = 0 .. m_max: one derivative chain from one legendre_poly(l)."""
+    chain = [legendre_poly(l)]
+    for _ in range(m_max):
+        chain.append(chain[-1].derivative())
+    return chain
+
+
 def assoc_legendre(l: int, m: int) -> HypWave:
     """(1-t^2)^(m/2) d^m/dt^m P_l(t) as a closed-form wave, positive convention."""
     l, m = int(l), int(m)
     if not 0 <= m <= l:
         raise ValueError(f"need 0 <= m <= l, got (l, m) = ({l}, {m})")
-    poly = legendre_poly(l)
-    for _ in range(m):
-        poly = poly.derivative()
-    return HypWave(Fraction(m, 2), Fraction(m, 2), poly)
+    return HypWave(Fraction(m, 2), Fraction(m, 2), legendre_derivatives(l, m)[m])
 
 
 def jacobi_ode_residual(n: int, alpha, beta) -> TanhPoly:
@@ -156,16 +161,26 @@ def proportionality_constant(w1: HypWave, w2: HypWave) -> Fraction:
     return w1.prefactor / w2.prefactor
 
 
-def check_legendre_identity(l: int, m: int) -> Fraction:
-    """Exact constant linking (1-t^2)^(m/2) d^m P_l to the ladder-built level l-m.
+def legendre_links(l: int, ms) -> list[Fraction]:
+    """Exact constants linking (1-t^2)^(m/2) d^m P_l to the ladder-built level l-m.
 
-    Both sides are closed-form waves over t = tanh z; they must be exactly
-    proportional for every 1 <= m <= l.
+    One constant per m in ms, in order, all read from one derivative chain of
+    P_l.  Both sides are closed-form waves over t = tanh z; they must be
+    exactly proportional for every 1 <= m <= l.
     """
-    l, m = int(l), int(m)
-    if not 1 <= m <= l:
-        raise ValueError(f"need 1 <= m <= l, got (l, m) = ({l}, {m})")
-    return proportionality_constant(assoc_legendre(l, m), ladder_chain(l, l - m))
+    l, ms = int(l), [int(m) for m in ms]
+    for m in ms:
+        if not 1 <= m <= l:
+            raise ValueError(f"need 1 <= m <= l, got (l, m) = ({l}, {m})")
+    chain = legendre_derivatives(l, max(ms, default=0))
+    return [proportionality_constant(HypWave(Fraction(m, 2), Fraction(m, 2), chain[m]),
+                                     ladder_chain(l, l - m))
+            for m in ms]
+
+
+def check_legendre_identity(l: int, m: int) -> Fraction:
+    """The constant of legendre_links for one m."""
+    return legendre_links(l, [m])[0]
 
 
 def check_gegenbauer_identity(p: int, q) -> Fraction:

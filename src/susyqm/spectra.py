@@ -67,9 +67,9 @@ def poschl_teller_energy(l, n: int) -> Fraction:
     return -((lf - n) ** 2)
 
 
-def poschl_teller_levels(l) -> list[int]:
+def poschl_teller_levels(l) -> range:
     """Bound level indices n = 0 .. ceil(l) - 1 of the depth-l sech well."""
-    return list(range(math.ceil(as_fraction(l))))
+    return range(math.ceil(as_fraction(l)))
 
 
 def poschl_teller_spectrum(l) -> list[SpectrumEntry]:
@@ -109,16 +109,21 @@ def rosen_morse_energy(n_prime, B, n: int) -> Fraction:
     return np_ * (np_ + 1) - s * s - bf * bf / (s * s)
 
 
-def rosen_morse_levels(n_prime, B) -> list[int]:
-    """Admitted level indices: n < n' and (n'-n)^2 > |B| (normalizable decay)."""
+def rosen_morse_levels(n_prime, B) -> range:
+    """Admitted level indices: n < n' and (n'-n)^2 > |B| (normalizable decay).
+
+    (n'-n)^2 falls as n rises to n', so the admitted levels are 0 .. count - 1;
+    count is found by bisection, without listing the levels.
+    """
     np_, bf = _validated_rm(n_prime, B)
-    out = []
-    n = 0
-    while n < np_:
-        if (np_ - n) ** 2 > abs(bf):
-            out.append(n)
-        n += 1
-    return out
+    lo, hi = 0, math.ceil(np_)  # level lo is admitted (|B| < n'^2); level hi is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (np_ - mid) ** 2 > abs(bf):
+            lo = mid
+        else:
+            hi = mid
+    return range(hi)
 
 
 def rosen_morse_spectrum(n_prime, B) -> list[SpectrumEntry]:

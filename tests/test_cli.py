@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -168,12 +169,12 @@ def test_config_directory_exits_2(tmp_path, capsys):
 
 def test_checks_spectra_nan_level_fails(monkeypatch):
     # a NaN after the first level is the case the builtin max() silently drops
-    real = fd_oracle.bound_state_eigenvalues
+    real = fd_oracle.bound_state_eigenvalues_batch
 
     def last_level_nan(*args, **kwargs):
-        return real(*args, **kwargs)[:-1] + [math.nan]
+        return [evs[:-1] + [math.nan] for evs in real(*args, **kwargs)]
 
-    monkeypatch.setattr(fd_oracle, "bound_state_eigenvalues", last_level_nan)
+    monkeypatch.setattr(fd_oracle, "bound_state_eigenvalues_batch", last_level_nan)
     params = parse_command(["verify", "spectra"]).parameters
     fd_checks = [c for c in cli.checks_spectra(params)
                  if c["id"].startswith("fd-vs-closed-form")]
@@ -250,6 +251,82 @@ def test_flag_the_subcommand_does_not_read_exits_2(base, flag, capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+OVERSIZED = [
+    (["spectrum", "--family", "poschl-teller", "--l", "1e15"], "1e+15 levels"),
+    (["spectrum", "--family", "rosen-morse", "--nprime", "1e15"], "1e+15 levels"),
+    (["spectrum", "--family", "gegenbauer", "--p", "100000000", "--q", "3/2"], "1e+08 levels"),
+    (["oracle", "--family", "poschl-teller", "--l", "1e15"], "1e+15 levels"),
+    (["deformed", "--alpha", "1", "--beta", "1.000001"], "5e+08 grid points"),
+    (["verify", "all", "--grid-points", "10000000000"], "1e+10 grid points"),
+    (["oracle", "--family", "poschl-teller", "--l", "2", "--grid-points", "10000000000"],
+     "1e+10 grid points"),
+    (["deformed", "--alpha", "1", "--beta", "2", "--grid-min", "-0.4", "--grid-max", "8",
+      "--grid-points", "10000000000"], "1e+10 grid points"),
+    (["scatter", "--k", "1", "--grid-max", "1e300"], "8e+303 RK4 lattice points"),
+]
+SCATTER_STEP_1E_12 = [["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
+                      ["verify", "scatter"], ["verify", "all"]]
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs, and what fn returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except Exception as exc:  # noqa: BLE001 - the caller inspects it
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_oversized_rejected(argv, size_text, capsys):
+    peak, exc = _peak_bytes(lambda: parse_command(argv))
+    assert isinstance(exc, cli.UsageError)
+    assert str(exc) == f"{size_text} requested, above the size cap of {cli.SIZE_CAP}"
+    assert peak < 2 ** 20
+    peak, code = _peak_bytes(lambda: main(argv))
+    assert code == 2 and peak < 2 ** 20
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("argv,size_text", OVERSIZED)
+def test_oversized_request_exits_2_without_allocating(argv, size_text, capsys):
+    _assert_oversized_rejected(argv, size_text, capsys)
+
+
+@pytest.mark.parametrize("argv", SCATTER_STEP_1E_12)
+def test_tiny_scatter_step_exits_2_without_allocating(argv, tmp_path, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("scatter_step = 1e-12\n")
+    _assert_oversized_rejected(argv + ["--config", str(cfg)], "1.6e+14 RK4 lattice points",
+                               capsys)
+
+
+def test_scatter_step_is_not_budgeted_where_unused(tmp_path):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("scatter_step = 1e-12\n")
+    assert parse_command(["verify", "spectra", "--config", str(cfg)]).subcommand == "verify"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"],
+    ["oracle", "--family", "poschl-teller", "--l", "40"],
+    ["deformed", "--alpha", "1", "--beta", "2", "--n", "1"],
+    ["deformed", "--alpha", "2", "--beta", "1"],
+    ["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
+    ["spectrum", "--family", "poschl-teller", "--l", "60"],
+    ["spectrum", "--family", "rosen-morse", "--nprime", "30", "--B", "20"],
+    ["spectrum", "--family", "gegenbauer", "--p", "2", "--q", "3/2"],
+])
+def test_defaults_stay_far_below_size_cap(argv):
+    cmd = parse_command(argv)
+    sizes = [size for _what, size in cli._request_sizes(cmd.subcommand, cmd.parameters)]
+    assert sizes and max(sizes) <= cli.SIZE_CAP / 10
 
 
 fuzz_rationals = st.builds(lambda num, den: str(Fraction(num, den)),

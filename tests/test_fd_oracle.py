@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +22,13 @@ TILTED = [RosenMorseII(n, b) for n, b in ((Fraction(2), HALF), (Fraction(3), Fra
                                           (Fraction(5, 2), HALF))]
 SPECTRA_FAMILIES = ([(PoschlTeller(l), -1e-6, l + 2) for l in range(1, 6)]
                     + [(fam, fam.continuum_edge - 1e-9, 8) for fam in TILTED])
+
+
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +159,81 @@ def test_tolerance_below_float_spacing_converges():
     assert len(evs) == 2
     for ev, exact in zip(evs, ref):
         assert abs(ev - exact) <= 2.0 * np.spacing(abs(exact))
+
+
+def _spectra_requests():
+    return [(discretize(fam, GRID), below, max_count)
+            for fam, below, max_count in SPECTRA_FAMILIES]
+
+
+def test_batch_equals_one_at_a_time():
+    requests = _spectra_requests()
+    batch = fd_oracle.bound_state_eigenvalues_batch(requests)
+    assert batch == [bound_state_eigenvalues(*request) for request in requests]
+    assert sum(map(len, batch)) == 21
+
+
+def test_fd_eigenvalues_pinned():
+    # sha256 of float.hex of the 21 eigenvalues of `verify spectra`, taken from
+    # the one-operator-at-a-time solver; a faster oracle must show what it moved
+    evs = fd_oracle.bound_state_eigenvalues_batch(_spectra_requests())
+    assert _sha([[float.hex(ev) for ev in family] for family in evs]) == (
+        "876bf74c1f45de109d5ede31c62dc4b8e003ca4b073879f693493b9cf6b364e1")
+
+
+def test_batch_with_empty_members():
+    pt3 = discretize(PoschlTeller(3), GRID)
+    requests = [
+        (discretize(PoschlTeller(0), GRID), -1e-6, 3),
+        (discretize(PoschlTeller(2), GRID), -1e-6, 4),
+        (pt3, -20.0, 5),    # below the Gershgorin bound, -12
+        (discretize(TILTED[0], GRID), TILTED[0].continuum_edge - 1e-9, 8),
+        (pt3, -10.0, 5),    # above the Gershgorin bound, below the lowest level, -9
+        (pt3, -1e-6, 5),
+    ]
+    batch = fd_oracle.bound_state_eigenvalues_batch(requests)
+    assert batch[0] == batch[2] == batch[4] == []
+    for got, request in zip(batch, requests):
+        assert got == bound_state_eigenvalues(*request)
+    assert [len(evs) for evs in batch] == [0, 2, 0, 2, 0, 3]
+
+
+def test_batch_max_count_overflow_in_later_member():
+    pt5 = discretize(PoschlTeller(5), GRID)
+    with pytest.raises(NumericalError) as alone:
+        bound_state_eigenvalues(pt5, below=-1e-6, max_count=2)
+    assert str(alone.value) == "5 eigenvalues found below -1e-06, exceeding max_count = 2"
+    with pytest.raises(NumericalError) as batched:
+        fd_oracle.bound_state_eigenvalues_batch(
+            [(discretize(PoschlTeller(1), GRID), -1e-6, 3), (pt5, -1e-6, 2)])
+    assert str(batched.value) == str(alone.value)
+
+
+def test_batch_sweep_cap():
+    requests = _spectra_requests()
+    for max_iter in (0, 1, 5):
+        with pytest.raises(NumericalError, match="multisection"):
+            fd_oracle.bound_state_eigenvalues_batch(requests, max_iter=max_iter)
+    assert fd_oracle.bound_state_eigenvalues_batch(requests, max_iter=7) == (
+        fd_oracle.bound_state_eigenvalues_batch(requests))
+
+
+def test_batch_rejects_operators_of_different_sizes():
+    with pytest.raises(ValueError, match="same size"):
+        fd_oracle.bound_state_eigenvalues_batch([
+            (discretize(PoschlTeller(1), GRID), -1e-6, 3),
+            (discretize(PoschlTeller(1), Grid(-12.0, 12.0, 1001)), -1e-6, 3)])
+
+
+def test_counts_below_mixes_operators_per_column():
+    ops = [discretize(fam, GRID) for fam in (PoschlTeller(3), TILTED[1], PoschlTeller(5))]
+    d, e2, pivmin = fd_oracle._stacked(ops)
+    # levels: -9, -4, -1 | 26/9, 31/4 below the edge 10 | -25, -16, -9, -4, -1
+    shifts = np.array([-2.0, 3.0, -20.0, -100.0, 7.5, -1e-6, -3.0, -0.5, 9.0])
+    owner = np.array([0, 1, 2, 0, 1, 2, 2, 0, 1])
+    counts = fd_oracle._counts_below(d, e2, shifts, owner, pivmin)
+    assert counts.tolist() == [sturm_count(ops[k], x) for k, x in zip(owner, shifts)]
+    assert counts.tolist() == [2, 1, 1, 0, 1, 5, 4, 3, 2]
 
 
 def test_grid_convergence_is_second_order():

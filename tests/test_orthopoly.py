@@ -12,6 +12,7 @@ from susyqm import (
     check_gegenbauer_identity, check_legendre_identity, gegenbauer_poly,
     jacobi_poly, ladder_chain, legendre_poly, proportionality_constant,
 )
+from susyqm.orthopoly import legendre_derivatives, legendre_links
 from susyqm.orthopoly import (
     gegenbauer_ode_residual, jacobi_ode_residual, jacobi_values,
 )
@@ -134,6 +135,20 @@ def test_legendre_identity_validates():
         check_legendre_identity(2, 0)
     with pytest.raises(ValueError):
         check_legendre_identity(2, 3)
+
+
+def test_legendre_links_read_one_derivative_chain():
+    for l in range(1, 9):
+        chain = legendre_derivatives(l, l)
+        poly = legendre_poly(l)
+        for m in range(l + 1):
+            assert chain[m] == poly
+            poly = poly.derivative()
+        assert legendre_links(l, range(1, l + 1)) == [
+            check_legendre_identity(l, m) for m in range(1, l + 1)]
+    assert legendre_links(5, []) == []
+    with pytest.raises(ValueError, match="1 <= m <= l"):
+        legendre_links(4, [1, 5])
 
 
 def test_legendre_identity_matches_pointwise():

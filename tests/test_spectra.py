@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from susyqm import (
     ChartDomainError, Grid, HypWave, PoschlTeller, RosenMorseII, TanhPoly,
     eigen_residual_symbolic, gamma_deformed_residual, gegenbauer_spectrum,
-    ladder_chain, poschl_teller_energy, poschl_teller_spectrum,
+    ladder_chain, poschl_teller_energy, poschl_teller_levels, poschl_teller_spectrum,
     proportionality_constant, rosen_morse_eigenfunction, rosen_morse_energy,
     rosen_morse_levels, rosen_morse_spectrum,
 )
@@ -131,6 +131,25 @@ def test_rm_eigenpairs_have_zero_symbolic_residual(n_prime, B):
         w = rosen_morse_eigenfunction(n_prime, B, n)
         assert w.a > 0 and w.b > 0  # decays at both ends
         assert eigen_residual_symbolic(w, fam, rosen_morse_energy(n_prime, B, n)).is_zero
+
+
+@given(n_prime=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(40),
+                            max_denominator=4),
+       b_share=st.fractions(min_value=Fraction(-1), max_value=Fraction(1),
+                            max_denominator=64))
+@settings(max_examples=60)
+def test_rm_levels_match_enumeration(n_prime, b_share):
+    B = b_share * n_prime ** 2
+    if abs(B) >= n_prime ** 2:
+        return
+    admitted = [n for n in range(math.ceil(n_prime)) if (n_prime - n) ** 2 > abs(B)]
+    assert list(rosen_morse_levels(n_prime, B)) == admitted
+
+
+def test_level_ranges_are_not_listed():
+    assert len(rosen_morse_levels(10 ** 15, 0)) == 10 ** 15
+    assert len(rosen_morse_levels(10 ** 15, 10 ** 28)) == 10 ** 15 - 10 ** 14
+    assert poschl_teller_levels(Fraction(10 ** 15) + HALF)[-1] == 10 ** 15
 
 
 # ---------------------------------------------------------------------------
