@@ -6,8 +6,8 @@ from .coordinate_maps import (
 )
 from .fd_oracle import (
     Grid, NumericalError, ScatteringResult, TridiagonalOperator,
-    bound_state_eigenvalues, discretize, grid_residual, scattering_amplitudes,
-    sech_well_reflection_exact, sturm_count,
+    bound_state_eigenvalues, discretize, scattering_amplitudes,
+    sech_well_reflection_exact,
 )
 from .orthopoly import (
     ProportionalityError, assoc_legendre, check_gegenbauer_identity,
@@ -24,14 +24,12 @@ from .spectra import (
     rosen_morse_levels, rosen_morse_spectrum,
 )
 from .susy_core import (
-    ClosedFormSuperpotential, PartnerPair, SampledSuperpotential, Superpotential,
-    annihilation_check, partner_potentials, riccati_residual,
-    shape_invariance_remainder, si_level_energy,
+    ClosedFormSuperpotential, PartnerPair, annihilation_check, partner_potentials,
+    riccati_residual, shape_invariance_remainder, si_level_energy,
 )
 from .tanh_algebra import (
     HypWave, TanhPoly, apply_ladder, apply_lowering, as_fraction,
-    differentiate_z, eigen_residual_symbolic, eval_wave, eval_wave_array,
-    ladder_chain,
+    eigen_residual_symbolic, eval_wave, ladder_chain,
 )
 
 __version__ = "0.1.0"

@@ -1,18 +1,18 @@
 """Independent numerical verification: finite differences, Sturm multisection, scattering.
 
-Nothing here reuses the closed-form machinery beyond evaluating candidate
-wavefunctions pointwise, so agreement between this module and the algebraic
-results is a genuine cross-check.  Defaults: z in [-12, 12] with 2001 points
-(every sech-localized state of interest decays below 1e-10 by |z| = 12),
-Dirichlet boxes for bound states, eigenvalues bracketed to 1e-10 by Sturm
-multisection (63 interior shifts per bracket and sweep, a 200-sweep cap that
-raises when exhausted), and fixed-step classical 4th-order integration with
-h = 1e-3 for scattering.  Operators of one size are solved as a batch: each
-sweep counts the shifts of every operator in one row loop, and each operator
-leaves the batch when all of its own brackets have converged, so its
-eigenvalues do not depend on what else is in the batch.  The scattering
-equation is linear, so each RK4 step is a real 2x2 matrix; the march is their
-ordered product, formed chunk by chunk with a pairwise (log-depth) reduction.
+Nothing here reuses the closed-form machinery, so agreement between this
+module and the algebraic results is a genuine cross-check.  Defaults: z in
+[-12, 12] with 2001 points (every sech-localized state of interest decays
+below 1e-10 by |z| = 12), Dirichlet boxes for bound states, eigenvalues
+bracketed to 1e-10 by Sturm multisection (63 interior shifts per bracket and
+sweep, a 200-sweep cap that raises when exhausted), and fixed-step classical
+4th-order integration with h = 1e-3 for scattering.  Operators of one size are
+solved as a batch: each sweep counts the shifts of every operator in one row
+loop, and each operator leaves the batch when all of its own brackets have
+converged, so its eigenvalues do not depend on what else is in the batch.  The
+scattering equation is linear, so each RK4 step is a real 2x2 matrix; the
+march is their ordered product, formed chunk by chunk with a pairwise
+(log-depth) reduction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import PotentialFamily, potential_values
-from .tanh_algebra import HypWave, eval_wave_array
 
 DEFAULT_Z_MIN = -12.0
 DEFAULT_Z_MAX = 12.0
@@ -129,13 +128,6 @@ def _gershgorin_lower(op: TridiagonalOperator) -> float:
     """Lower bound on every eigenvalue (Gershgorin discs)."""
     pad = np.concatenate(([0.0], np.abs(op.off_diagonal), [0.0]))
     return float(np.min(op.diagonal - pad[:-1] - pad[1:]))
-
-
-def sturm_count(op: TridiagonalOperator, shift: float) -> int:
-    """Number of eigenvalues of the operator strictly below shift."""
-    d, e2, pivmin = _stacked([op])
-    return int(_counts_below(d, e2, np.array([float(shift)]), np.zeros(1, np.intp),
-                             pivmin)[0])
 
 
 def bound_state_eigenvalues(op: TridiagonalOperator, below: float,
@@ -243,25 +235,6 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
         rows = np.arange(owner.size)
         los = edges[rows, first]
         his = edges[rows, first + 1]
-
-
-def grid_residual(w: HypWave, fam: PotentialFamily, E: float, grid: Grid) -> float:
-    """Normalized sup-norm of (-D^2 + V - E) w over interior grid points.
-
-    D^2 is the central stencil, so an exact eigenpair scores O(h^2).  This is
-    the numeric twin of the symbolic residual and works for any family with
-    pointwise values.
-    """
-    zs = grid.zs()
-    psi = eval_wave_array(w, zs)
-    scale = float(np.max(np.abs(psi)))
-    if scale == 0.0:
-        raise ValueError("candidate wave vanishes identically on the grid")
-    v = potential_values(fam, zs)
-    h2 = grid.h ** 2
-    lap = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / h2
-    resid = -lap + (v[1:-1] - float(E)) * psi[1:-1]
-    return float(np.max(np.abs(resid))) / scale
 
 
 @dataclass(frozen=True)

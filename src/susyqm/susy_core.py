@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
-from .fd_oracle import Grid
 from .potentials import CustomPotential
 from .tanh_algebra import HypWave, TanhPoly, apply_lowering, as_fraction
 
@@ -42,27 +40,8 @@ class ClosedFormSuperpotential:
 
 
 @dataclass(frozen=True)
-class SampledSuperpotential:
-    """W given by samples on a uniform grid."""
-
-    grid: Grid
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != self.grid.points:
-            raise ValueError("sample count does not match the grid")
-        if not all(np.isfinite(vals)):
-            raise ValueError("superpotential samples must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-Superpotential = Union[ClosedFormSuperpotential, SampledSuperpotential]
-
-
-@dataclass(frozen=True)
 class PartnerPair:
-    """V1 = W^2 - W' and V2 = W^2 + W', plus the sech-well offset when closed.
+    """V1 = W^2 - W' and V2 = W^2 + W' as exact polynomials in t, plus the sech-well offset.
 
     For W = k tanh z + s the first partner can be read as the sech^2 well
     shifted upward: V1 = -k(k+1) sech^2 z + 2 k s tanh z + ground_offset with
@@ -71,57 +50,24 @@ class PartnerPair:
     asymptote at 0) are in routine use.
     """
 
-    v1: Union[TanhPoly, CustomPotential]
-    v2: Union[TanhPoly, CustomPotential]
-    ground_offset: Union[Fraction, None] = None
+    v1: TanhPoly
+    v2: TanhPoly
+    ground_offset: Fraction
 
 
-def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Centered first derivative with one-sided second-order stencils at the ends."""
-    v = np.asarray(values, dtype=float)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return d
+def partner_potentials(w: ClosedFormSuperpotential) -> PartnerPair:
+    """Build the partner pair as exact polynomials in t = tanh z."""
+    wp = w.tanh_poly()
+    dwp = w.derivative_tanh_poly()
+    return PartnerPair(v1=wp * wp - dwp, v2=wp * wp + dwp,
+                       ground_offset=w.k * w.k + w.s * w.s)
 
 
-def partner_potentials(w: Superpotential) -> PartnerPair:
-    """Build the partner pair; exact polynomials for closed-form input."""
-    if isinstance(w, ClosedFormSuperpotential):
-        wp = w.tanh_poly()
-        dwp = w.derivative_tanh_poly()
-        return PartnerPair(
-            v1=wp * wp - dwp,
-            v2=wp * wp + dwp,
-            ground_offset=w.k * w.k + w.s * w.s,
-        )
-    zs = w.grid.zs()
-    vals = np.asarray(w.values)
-    dvals = _fd_derivative(vals, w.grid.h)
-    return PartnerPair(
-        v1=CustomPotential.from_arrays(zs, vals * vals - dvals),
-        v2=CustomPotential.from_arrays(zs, vals * vals + dvals),
-        ground_offset=None,
-    )
-
-
-def riccati_residual(v1: CustomPotential, w: Superpotential) -> float:
-    """Sup-norm over the sample grid of V1 - (W^2 - W').
-
-    Closed-form W is evaluated exactly; sampled W is differenced on its grid,
-    which must coincide with the potential's.
-    """
+def riccati_residual(v1: CustomPotential, w: ClosedFormSuperpotential) -> float:
+    """Sup-norm over the sample grid of V1 - (W^2 - W'), W evaluated exactly."""
     zs = np.asarray(v1.z)
-    if isinstance(w, ClosedFormSuperpotential):
-        wv = w.values(zs)
-        dv = float(w.k) / np.cosh(zs) ** 2
-    else:
-        gz = w.grid.zs()
-        if gz.shape != zs.shape or not np.allclose(gz, zs, rtol=0.0, atol=1e-12):
-            raise ValueError("superpotential grid does not match the potential samples")
-        wv = np.asarray(w.values)
-        dv = _fd_derivative(wv, w.grid.h)
+    wv = w.values(zs)
+    dv = float(w.k) / np.cosh(zs) ** 2
     return float(np.max(np.abs(np.asarray(v1.v) - (wv * wv - dv))))
 
 

@@ -212,31 +212,26 @@ class TanhPoly:
         prim = tuple(-v if (n - i) % 2 else v for i, v in enumerate(self._prim))
         return TanhPoly._of(prim, -self._num if n % 2 else self._num, self._den)
 
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments, float otherwise."""
-        if isinstance(x, (Fraction, int)):
-            # v^n P(u/v) = sum p_i u^i v^(n-i), all in ints
-            u, v = x.numerator, x.denominator
-            acc, v_power = 0, 1
-            for c in reversed(self._prim):
-                acc = acc * u + c * v_power
-                v_power *= v
-            return Fraction(self._num * acc * v, self._den * v_power)
-        acc = 0.0
-        xf = float(x)
-        for c in reversed(self._float_coeffs()):
-            acc = acc * xf + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        """Exact Horner evaluation at an int, a Fraction or a float, which is
+        taken at its exact binary value."""
+        return Fraction(*self._ratio(x))
 
-    def _float_coeffs(self) -> list[float]:
-        """Each coefficient correctly rounded, as float(Fraction) would give it."""
-        return [self._num * v / self._den for v in self._prim]
+    def _ratio(self, x) -> tuple[int, int]:
+        """(num, den), den > 0, with P(x) = num / den exactly but not reduced."""
+        # v^n P(u/v) = sum p_i u^i v^(n-i), all in ints
+        u, v = x.as_integer_ratio()
+        acc, v_power = 0, 1
+        for c in reversed(self._prim):
+            acc = acc * u + c * v_power
+            v_power *= v
+        return self._num * acc * v, self._den * v_power
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized float Horner evaluation."""
+        """Vectorized float Horner evaluation, each coefficient correctly rounded."""
         acc = np.zeros_like(x, dtype=float)
-        for c in reversed(self._float_coeffs()):
-            acc = acc * x + c
+        for v in reversed(self._prim):
+            acc = acc * x + self._num * v / self._den
         return acc
 
     def deflate(self, sign: int):
@@ -381,57 +376,50 @@ class HypWave:
     def __sub__(self, other: "HypWave") -> "HypWave":
         return self + (-other)
 
-    def __call__(self, z: float) -> float:
-        return eval_wave(self, z)
+
+_LN2 = math.log(2.0)
 
 
-def _weight_factors(z: float) -> tuple[float, float]:
-    """(1 - tanh z, 1 + tanh z) without cancellation for large |z|."""
-    e = math.exp(-2.0 * abs(z))
-    small = 2.0 * e / (1.0 + e)
-    large = 2.0 / (1.0 + e)
+def _log_weights(z: float) -> tuple[float, float]:
+    """(ln(1 - tanh z), ln(1 + tanh z)) without cancellation or underflow."""
+    x = abs(z)
+    large = _LN2 - math.log1p(math.exp(-2.0 * x))
+    small = large - 2.0 * x
     return (small, large) if z >= 0 else (large, small)
 
 
 def eval_wave(w: HypWave, z: float) -> float:
     """Numerically evaluate a HypWave at a real point.
 
-    Uses cancellation-free expressions for 1 -+ tanh z so that relative
-    accuracy is near machine precision even far in the tails.
+    prefactor * P(t) is evaluated exactly at the double t = tanh z (a double
+    is a dyadic rational), so the alternating coefficients of deep levels
+    cannot cancel in floating point.  That exact value is split as m * 2^e
+    with an int m of 64 or 65 bits and an int e; the weights (1 -+ tanh z)^a
+    and ^b join as logarithms computed without cancellation, and only the
+    final ldexp meets the double range.  The result is 0.0 only when the value is
+    zero or underflows, and OverflowError means the value is past the range.
     """
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"non-finite evaluation point {z!r}")
-    if w.is_zero:
+    num, den = w.poly._ratio(math.tanh(z))
+    num *= w.prefactor.numerator
+    den *= w.prefactor.denominator
+    if not num:
         return 0.0
-    one_minus, one_plus = _weight_factors(z)
-    val = float(w.prefactor)
-    if w.a:
-        val *= one_minus ** float(w.a)
-    if w.b:
-        val *= one_plus ** float(w.b)
-    return val * w.poly(math.tanh(z))
-
-
-def eval_wave_array(w: HypWave, z: np.ndarray) -> np.ndarray:
-    """Vectorized eval_wave over a real array."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite evaluation point in array")
-    if w.is_zero:
-        return np.zeros_like(z)
-    e = np.exp(-2.0 * np.abs(z))
-    small = 2.0 * e / (1.0 + e)
-    large = 2.0 / (1.0 + e)
-    pos = z >= 0
-    one_minus = np.where(pos, small, large)
-    one_plus = np.where(pos, large, small)
-    val = float(w.prefactor) * np.ones_like(z)
-    if w.a:
-        val = val * one_minus ** float(w.a)
-    if w.b:
-        val = val * one_plus ** float(w.b)
-    return val * w.poly.values(np.tanh(z))
+    size = abs(num)
+    e = size.bit_length() - den.bit_length() - 64
+    m = size // (den << e) if e >= 0 else (size << -e) // den
+    log_minus, log_plus = _log_weights(z)
+    log_weight = float(w.a) * log_minus + float(w.b) * log_plus
+    k = math.floor(log_weight / _LN2)
+    try:
+        value = math.ldexp(float(m) * math.exp(log_weight - k * _LN2), e + k)
+    except OverflowError:
+        raise OverflowError(
+            f"wave value near 2^{e + k + 64} at z = {z!r} is past the double range"
+        ) from None
+    return value if num > 0 else -value
 
 
 def _d_ints(A: int, B: int, d: int, p: tuple[int, ...]) -> list[int]:
@@ -453,13 +441,6 @@ def _d_poly(a: Fraction, b: Fraction, poly: TanhPoly) -> TanhPoly:
     A = a.numerator * (d // a.denominator)
     B = b.numerator * (d // b.denominator)
     return TanhPoly._from_ints(_d_ints(A, B, d, poly._prim), poly._num, poly._den * d)
-
-
-def differentiate_z(w: HypWave) -> HypWave:
-    """Exact d/dz of a HypWave, canonicalized."""
-    if w.is_zero:
-        return w
-    return HypWave(w.a, w.b, _d_poly(w.a, w.b, w.poly), w.prefactor)
 
 
 def apply_ladder(k, w: HypWave) -> HypWave:
@@ -517,7 +498,7 @@ def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
 
     The family must expose an exact polynomial V(tanh z) via fam.tanh_poly()
     (true for the sech^2 and tanh^2/tanh wells; a grid-sampled potential has
-    no such form and is rejected — check it with fd_oracle.grid_residual).
+    no such form and is rejected).
     The common weight (1-t)^a (1+t)^b is factored out and the remaining
     polynomial returned: it is identically zero iff (w, E) is an exact
     eigenpair.
@@ -527,8 +508,7 @@ def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
         v_poly = fam.tanh_poly()
     except AttributeError:
         raise ValueError(
-            f"potential family {fam!r} has no exact tanh-polynomial form; "
-            "use the numeric grid residual instead"
+            f"potential family {fam!r} has no exact tanh-polynomial form"
         ) from None
     if w.is_zero:
         return TanhPoly.zero()

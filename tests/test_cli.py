@@ -222,8 +222,9 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--family", "poschl-teller", "--l", "1e400"],
+    # about -1.9e373, past the double range
     ["eigenfunction", "--family", "poschl-teller", "--l", "200", "--n", "199",
-     "--z", "0"],
+     "--z", "0.3"],
 ])
 def test_float_overflow_exits_3(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -412,6 +413,21 @@ def test_eigenfunction_report(capsys):
     assert wave["value_at_z"] == pytest.approx(1.0)
 
 
+# 120-digit mpmath values of the closed forms at the exact point z; the
+# polynomial parts have alternating coefficients of 100+ bits
+@pytest.mark.parametrize("family,n,z,value", [
+    (["poschl-teller", "--l", "60"], 59, "3", -2.2914578730649099e81),
+    (["rosen-morse", "--nprime", "30", "--B", "39/2"], 25, "2", 6.2632083413102085),
+    (["poschl-teller", "--l", "200"], 100, "10", 2.4970757126773187e-165),
+    (["poschl-teller", "--l", "200"], 199, "0", 0.0),
+], ids=["sech-60-59", "tilted-30-25", "sech-200-100", "sech-200-199"])
+def test_deep_eigenfunction_value_at_z(family, n, z, value, capsys):
+    code, out, err = run(["eigenfunction", "--family", *family, "--n", str(n), "--z", z],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["wave"]["value_at_z"] == pytest.approx(value, rel=1e-11, abs=0.0)
+
+
 def test_eigenfunction_rejects_filtered_level(capsys):
     code, _, _ = run(["eigenfunction", "--family", "rosen-morse", "--nprime", "2",
                       "--B", "1", "--n", "1"], capsys)
@@ -424,6 +440,15 @@ def test_oracle_report(capsys):
     rep = json.loads(out)
     assert [row["n"] for row in rep["levels"]] == [0, 1]
     assert all(row["abs_error"] <= 2e-3 for row in rep["levels"])
+
+
+def test_oracle_level_count_record_reports_counts(capsys):
+    # on the default grid the E = 0 half-bound state of the depth-40 well slips
+    # below the FD ceiling, so one level too many is found
+    code, out, _ = run(["oracle", "--family", "poschl-teller", "--l", "40"], capsys)
+    assert code == 1
+    [count] = [c for c in json.loads(out)["checks"] if c["id"] == "fd-level-count"]
+    assert (count["computed"], count["expected"], count["pass"]) == (41, 40, False)
 
 
 def test_deformed_report(capsys):

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from susyqm import (
-    CustomPotential, Grid, HypWave, NumericalError, PoschlTeller, RosenMorseII,
+    CustomPotential, Grid, NumericalError, PoschlTeller, RosenMorseII,
     TanhPoly, TridiagonalOperator, bound_state_eigenvalues, discretize, fd_oracle,
-    grid_residual, poschl_teller_energy, potential_values, rosen_morse_energy,
-    rosen_morse_eigenfunction, rosen_morse_levels, scattering_amplitudes,
-    sech_well_reflection_exact, sturm_count,
+    poschl_teller_energy, potential_values, rosen_morse_levels, scattering_amplitudes,
+    sech_well_reflection_exact,
 )
 
 GRID = Grid(-12.0, 12.0, 2001)
@@ -104,11 +103,24 @@ def test_max_count_exceeded_is_reported():
                                 below=-1e-6, max_count=2)
 
 
+def _reference_counts(op, shifts):
+    """Eigenvalues strictly below each shift, counted in scipy's full spectrum."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    evs = eigvalsh_tridiagonal(op.diagonal, op.off_diagonal)
+    return [int(np.sum(evs < x)) for x in shifts]
+
+
+def _counts(op, shifts):
+    d, e2, pivmin = fd_oracle._stacked([op])
+    return fd_oracle._counts_below(d, e2, np.asarray(shifts, dtype=float),
+                                   np.zeros(len(shifts), np.intp), pivmin).tolist()
+
+
 def test_sturm_count_matches_spectrum():
     op = discretize(PoschlTeller(3), GRID)
-    assert sturm_count(op, -1e-6) == 3
-    assert sturm_count(op, -2.0) == 2
-    assert sturm_count(op, -100.0) == 0
+    assert _counts(op, [-1e-6, -2.0, -100.0]) == [3, 2, 0]
+    assert _reference_counts(op, [-1e-6, -2.0, -100.0]) == [3, 2, 0]
 
 
 def test_determinism_bit_identical():
@@ -135,9 +147,10 @@ def test_eigenvalues_are_bracketed_by_sturm_counts(index):
     fam, below, max_count = SPECTRA_FAMILIES[index]
     op = discretize(fam, GRID)
     tol = fd_oracle.BISECTION_TOL
-    for n, ev in enumerate(bound_state_eigenvalues(op, below, max_count)):
-        assert sturm_count(op, ev - tol) == n
-        assert sturm_count(op, ev + tol) == n + 1
+    evs = bound_state_eigenvalues(op, below, max_count)
+    shifts = [x for ev in evs for x in (ev - tol, ev + tol)]
+    expected = [c for n in range(len(evs)) for c in (n, n + 1)]
+    assert _counts(op, shifts) == _reference_counts(op, shifts) == expected
 
 
 def test_exhausted_sweep_cap_raises():
@@ -232,7 +245,7 @@ def test_counts_below_mixes_operators_per_column():
     shifts = np.array([-2.0, 3.0, -20.0, -100.0, 7.5, -1e-6, -3.0, -0.5, 9.0])
     owner = np.array([0, 1, 2, 0, 1, 2, 2, 0, 1])
     counts = fd_oracle._counts_below(d, e2, shifts, owner, pivmin)
-    assert counts.tolist() == [sturm_count(ops[k], x) for k, x in zip(owner, shifts)]
+    assert counts.tolist() == [_reference_counts(ops[k], [x])[0] for k, x in zip(owner, shifts)]
     assert counts.tolist() == [2, 1, 1, 0, 1, 5, 4, 3, 2]
 
 
@@ -246,41 +259,6 @@ def test_grid_convergence_is_second_order():
                           for n, ev in enumerate(evs)]
     for coarse, fine in zip(errors[1001], errors[2001]):
         assert 3.0 <= coarse / fine <= 5.0
-
-
-# ---------------------------------------------------------------------------
-# pointwise grid residual
-
-
-def test_grid_residual_exact_eigenpair():
-    # O(h^2) stencil error: h = 1e-2 leaves ~ h^2 |psi''''| / 12 ~ 4e-5
-    g = Grid(-12.0, 12.0, 2401)
-    r = grid_residual(HypWave.sech_power(1), PoschlTeller(1), -1.0, g)
-    assert r <= 1e-4
-
-
-def test_grid_residual_halves_with_step():
-    coarse = grid_residual(HypWave.sech_power(1), PoschlTeller(1), -1.0,
-                           Grid(-12.0, 12.0, 1201))
-    fine = grid_residual(HypWave.sech_power(1), PoschlTeller(1), -1.0,
-                         Grid(-12.0, 12.0, 2401))
-    assert 3.0 <= coarse / fine <= 5.0
-
-
-def test_grid_residual_wrong_energy_is_order_one():
-    r = grid_residual(HypWave.sech_power(1), PoschlTeller(1), 0.0, GRID)
-    assert 0.9 <= r <= 1.1
-
-
-def test_grid_residual_tilted_eigenpair():
-    w = rosen_morse_eigenfunction(2, HALF, 0)
-    e = float(rosen_morse_energy(2, HALF, 0))
-    assert grid_residual(w, RosenMorseII(2, HALF), e, GRID) <= 1e-3
-
-
-def test_grid_residual_rejects_zero_wave():
-    with pytest.raises(ValueError):
-        grid_residual(HypWave.constant(0), PoschlTeller(1), -1.0, GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 
 from conftest import rationals
 from susyqm import (
-    ClosedFormSuperpotential, CustomPotential, Grid, SampledSuperpotential,
-    TanhPoly, annihilation_check, partner_potentials, poschl_teller_energy,
-    riccati_residual, shape_invariance_remainder, si_level_energy,
+    ClosedFormSuperpotential, CustomPotential, Grid, TanhPoly, annihilation_check,
+    partner_potentials, poschl_teller_energy, riccati_residual,
+    shape_invariance_remainder, si_level_energy,
 )
 
 GRID = Grid(-12.0, 12.0, 2001)
@@ -61,40 +61,6 @@ def test_riccati_detects_sign_flip():
     v1 = CustomPotential.from_arrays(zs, 1.0 - 2.0 / np.cosh(zs) ** 2)
     # W -> -W flips the W' term: residual sup |2 W'| = 2 sech^2(0)
     assert riccati_residual(v1, closed(-1)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_riccati_sampled_superpotential():
-    zs = GRID.zs()
-    w = SampledSuperpotential(GRID, tuple(np.tanh(zs)))
-    v1 = CustomPotential.from_arrays(zs, partner_potentials(closed(1)).v1.values(np.tanh(zs)))
-    # centered differences on h ~ 1e-2 leave an O(h^2) defect
-    assert riccati_residual(v1, w) <= 1e-3
-
-
-def test_riccati_grid_mismatch():
-    other = Grid(-10.0, 10.0, 2001)
-    zs = GRID.zs()
-    v1 = CustomPotential.from_arrays(zs, np.zeros_like(zs))
-    w = SampledSuperpotential(other, tuple(np.tanh(other.zs())))
-    with pytest.raises(ValueError):
-        riccati_residual(v1, w)
-
-
-def test_sampled_partner_pair():
-    w = SampledSuperpotential(GRID, tuple(np.tanh(GRID.zs())))
-    pair = partner_potentials(w)
-    exact_v1 = partner_potentials(closed(1)).v1.values(np.tanh(GRID.zs()))
-    assert np.max(np.abs(np.asarray(pair.v1.v) - exact_v1)) <= 1e-3
-    assert pair.ground_offset is None
-    # internal consistency: v2 - v1 = 2 W'_fd with the pair's own stencil,
-    # and (v2 + v1)/2 = W^2 exactly, independent of differencing error
-    from susyqm.susy_core import _fd_derivative
-
-    dv = np.asarray(pair.v2.v) - np.asarray(pair.v1.v)
-    wp = _fd_derivative(np.tanh(GRID.zs()), GRID.h)
-    assert np.max(np.abs(dv - 2.0 * wp)) <= 1e-12
-    half = 0.5 * (np.asarray(pair.v2.v) + np.asarray(pair.v1.v))
-    assert np.max(np.abs(half - np.tanh(GRID.zs()) ** 2)) <= 1e-12
 
 
 def test_shape_invariance_examples():

@@ -11,14 +11,19 @@ import hypothesis.strategies as st
 from conftest import hyp_waves, nonzero_rationals, rationals, small_exponents, tanh_polys
 from susyqm import (
     CustomPotential, HypWave, PoschlTeller, RosenMorseII, TanhPoly, apply_ladder,
-    apply_lowering, differentiate_z, eigen_residual_symbolic, eval_wave,
-    eval_wave_array, ladder_chain, poschl_teller_energy,
+    apply_lowering, eigen_residual_symbolic, eval_wave, ladder_chain,
+    poschl_teller_energy,
 )
 from susyqm.cli import _wave_payload
 from susyqm.tanh_algebra import _d_poly
 
 SECH = HypWave.sech_power(1)
 T = TanhPoly.t()
+
+
+def d_dz(w: HypWave) -> HypWave:
+    # the raising operator at k = 0 is -d/dz
+    return -apply_ladder(0, w)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +210,15 @@ def test_eval_deep_tail_accuracy():
 
 @given(w=hyp_waves(), z=st.floats(-8, 8))
 @settings(max_examples=60)
-def test_eval_array_matches_scalar(w, z):
-    arr = eval_wave_array(w, np.array([z]))
-    assert math.isclose(arr[0], eval_wave(w, z), rel_tol=1e-12, abs_tol=1e-300)
+def test_eval_matches_plain_weight_powers(w, z):
+    # reference: the exact part rounded to a double, times the weights as
+    # plain float powers, which neither underflow nor overflow on |z| <= 8
+    e = math.exp(-2.0 * abs(z))
+    small, large = 2.0 * e / (1.0 + e), 2.0 / (1.0 + e)
+    one_minus, one_plus = (small, large) if z >= 0 else (large, small)
+    ref = (float(w.prefactor * w.poly(math.tanh(z)))
+           * one_minus ** float(w.a) * one_plus ** float(w.b))
+    assert math.isclose(eval_wave(w, z), ref, rel_tol=1e-12, abs_tol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +226,9 @@ def test_eval_array_matches_scalar(w, z):
 
 
 def test_differentiate_examples():
-    assert differentiate_z(SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, -1)
-    assert differentiate_z(HypWave.constant(1)).is_zero
-    assert differentiate_z(HypWave(0, 0, T)) == HypWave(1, 1, TanhPoly.one())
+    assert d_dz(SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, -1)
+    assert d_dz(HypWave.constant(1)).is_zero
+    assert d_dz(HypWave(0, 0, T)) == HypWave(1, 1, TanhPoly.one())
 
 
 def test_apply_ladder_examples():
@@ -230,7 +241,7 @@ def test_apply_ladder_examples():
 @settings(max_examples=80)
 def test_ladder_is_minus_derivative_plus_k_t(w, k):
     direct = apply_ladder(k, w)
-    assembled = -differentiate_z(w) + k * w.times_poly(T)
+    assembled = -d_dz(w) + k * w.times_poly(T)
     assert direct == assembled
 
 
@@ -310,7 +321,7 @@ def test_tower_residuals_zero(l):
     HypWave(Fraction(7, 8), Fraction(9, 8), TanhPoly.one()),
 ])
 def test_derivative_matches_finite_difference(w):
-    d = differentiate_z(w)
+    d = d_dz(w)
     h = 1e-4
     for z in np.linspace(-5.0, 5.0, 41):
         fd = (eval_wave(w, z + h) - eval_wave(w, z - h)) / (2.0 * h)
