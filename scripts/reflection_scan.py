@@ -8,19 +8,23 @@ are the reflectionless points.
 Usage:
     python scripts/reflection_scan.py [--k 1.0] [--step 0.125] [--out reflection_scan.csv]
 
-Exit status follows the susyqm CLI: 0 on success, 2 for a bad argument
-(checked before the output file is opened), 3 for a numerical failure.
+Exit status follows the susyqm CLI: 0 on success, 2 for a bad argument or a
+scan of more than ROW_CAP rows (both checked before the output file is
+opened), 3 for a numerical failure.
 """
 
 import argparse
 import csv
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from susyqm import (
     NumericalError, PoschlTeller, scattering_amplitudes, sech_well_reflection_exact,
 )
+
+ROW_CAP = 10_000  # one scattering run per row, about 10 ms each
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -44,6 +48,12 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--l-min must be nonnegative, got {args.l_min}")
     if not 0.0 < args.k < math.inf:
         ap.error(f"--k must be positive and finite, got {args.k!r}")
+    rows = math.floor((hi - lo) / step) + 1 if lo <= hi else 0
+    if rows > ROW_CAP:
+        # Decimal formats an int of any size, also past the double range
+        print(f"error: {Decimal(rows):.4g} scan rows requested, above the size cap of {ROW_CAP}",
+              file=sys.stderr)
+        return 2
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

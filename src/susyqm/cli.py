@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -656,6 +657,11 @@ def run_scatter(params: dict) -> dict:
         "flux_defect": res.flux_defect,
         "half_width": res.half_width,
         "step": res.step,
+        "diagnostics": {
+            "rk4_steps_coarse": res.rk4_steps[0],
+            "rk4_steps_fine": res.rk4_steps[1],
+            "step_halving_drift": res.step_halving_drift,
+        },
         "checks": [
             check("flux-conservation", res.flux_defect, 0.0, fd_oracle.FLUX_TOL,
                   "scattering-oracle"),
@@ -669,10 +675,14 @@ def run_oracle(params: dict) -> dict:
     [(levels, exact, evs)] = _fd_vs_closed_form([fam], _grid(params))
     checks = [check("fd-level-count", len(evs), len(levels), 0, "fd-oracle")]
     rows = []
-    for n, e_exact, e_fd in zip(levels, exact, evs):
+    # levels is range(count), so the n-th FD eigenvalue pairs with level n;
+    # a count mismatch leaves rows with None (null) for the missing partner
+    for n, (e_exact, e_fd) in enumerate(itertools.zip_longest(exact, evs)):
+        paired = e_exact is not None and e_fd is not None
         rows.append({"n": n, "fd_energy": e_fd, "closed_form": e_exact,
-                     "abs_error": abs(e_fd - e_exact)})
-        checks.append(check(f"fd-level-{n}", e_fd, e_exact, tol, "fd-oracle"))
+                     "abs_error": abs(e_fd - e_exact) if paired else None})
+        if paired:
+            checks.append(check(f"fd-level-{n}", e_fd, e_exact, tol, "fd-oracle"))
     return {"levels": rows, "checks": checks}
 
 
@@ -763,8 +773,8 @@ def render_csv(report: dict) -> str:
     elif report["command"] == "oracle":
         writer.writerow(["n", "fd_energy", "closed_form", "abs_error"])
         for row in report["levels"]:
-            writer.writerow([row["n"], repr(row["fd_energy"]),
-                             repr(row["closed_form"]), repr(row["abs_error"])])
+            writer.writerow([row["n"], *("" if row[key] is None else repr(row[key])
+                                         for key in ("fd_energy", "closed_form", "abs_error"))])
     elif "sections" in report:
         writer.writerow(["section", "id", "computed", "expected", "tolerance",
                          "provenance", "pass"])

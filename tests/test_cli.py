@@ -401,6 +401,16 @@ def test_scatter_reflectionless_report(capsys):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_scatter_report_diagnostics(capsys):
+    argv = ["scatter", "--family", "poschl-teller", "--l", "3/2", "--k", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert (diagnostics["rk4_steps_coarse"], diagnostics["rk4_steps_fine"]) == (40000, 80000)
+    assert 0.0 <= diagnostics["step_halving_drift"] <= fd_oracle.STEP_HALVING_TOL
+    assert run(argv, capsys)[1] == out
+
+
 def test_eigenfunction_report(capsys):
     code, out, _ = run(["eigenfunction", "--family", "rosen-morse", "--nprime", "2",
                         "--B", "1/2", "--n", "0", "--z", "0.0"], capsys)
@@ -449,6 +459,38 @@ def test_oracle_level_count_record_reports_counts(capsys):
     assert code == 1
     [count] = [c for c in json.loads(out)["checks"] if c["id"] == "fd-level-count"]
     assert (count["computed"], count["expected"], count["pass"]) == (41, 40, False)
+
+
+def test_oracle_lists_unpaired_levels(capsys):
+    # the 41st FD eigenvalue of the depth-40 well has no closed-form partner
+    code, out, _ = run(["oracle", "--family", "poschl-teller", "--l", "40"], capsys)
+    assert code == 1
+    rows = json.loads(out)["levels"]
+    assert [row["n"] for row in rows] == list(range(41))
+    assert all(row["closed_form"] is not None for row in rows[:40])
+    extra = rows[40]
+    assert (extra["closed_form"], extra["abs_error"]) == (None, None)
+    assert isinstance(extra["fd_energy"], float) and extra["fd_energy"] < 0.0
+    code, out, _ = run(["oracle", "--family", "poschl-teller", "--l", "40",
+                        "--format", "csv"], capsys)
+    assert out.splitlines()[-1].startswith("40,") and out.splitlines()[-1].endswith(",,")
+
+
+def test_oracle_lists_unpaired_closed_form_levels(monkeypatch, capsys):
+    # an FD solve that misses the top level leaves its closed form unpaired
+    real = fd_oracle.bound_state_eigenvalues_batch
+
+    def drop_top_level(requests, *args, **kwargs):
+        return [evs[:-1] for evs in real(requests, *args, **kwargs)]
+
+    monkeypatch.setattr(fd_oracle, "bound_state_eigenvalues_batch", drop_top_level)
+    code, out, _ = run(["oracle", "--family", "poschl-teller", "--l", "3"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert [row["n"] for row in rep["levels"]] == [0, 1, 2]
+    assert (rep["levels"][2]["fd_energy"], rep["levels"][2]["abs_error"]) == (None, None)
+    assert rep["levels"][2]["closed_form"] == -1.0
+    assert [c["id"] for c in rep["checks"]] == ["fd-level-count", "fd-level-0", "fd-level-1"]
 
 
 def test_deformed_report(capsys):

@@ -357,14 +357,74 @@ def _sequential_march(fam, k, energy, half_width, n_steps):
     return a, b
 
 
-@pytest.mark.parametrize("n_steps", [fd_oracle.MARCH_CHUNK + 1, 40001])
-@pytest.mark.parametrize("fam,k", [(PoschlTeller(Fraction(3, 2)), 1.0),
-                                   (PoschlTeller(2), 0.5),
-                                   (RosenMorseII(Fraction(5, 2), 0), 2.0)])
+def _march_lattice(fam, energy, half_width, n_steps, points_per_step=2):
+    """V - E on the half-step lattice of an n_steps march from +L to -L."""
+    zs = np.linspace(half_width, -half_width, points_per_step * n_steps + 1)
+    return potential_values(fam, zs) - energy
+
+
+MARCH_FAMILIES = [(PoschlTeller(Fraction(3, 2)), 1.0), (PoschlTeller(2), 0.5),
+                  (RosenMorseII(Fraction(5, 2), 0), 2.0)]
+
+
+# 4097 is one odd chunk; MARCH_CHUNK + 1 and 2 * MARCH_CHUNK + 3 end in a
+# short odd chunk; 40001 is odd and crosses two chunk boundaries as well
+@pytest.mark.parametrize("n_steps", [4097, fd_oracle.MARCH_CHUNK + 1,
+                                     2 * fd_oracle.MARCH_CHUNK + 3, 40001])
+@pytest.mark.parametrize("fam,k", MARCH_FAMILIES)
 def test_step_matrix_march_matches_sequential_rk4(fam, k, n_steps):
     energy = k * k + fam.asymptotes[0]
-    a, b = fd_oracle._integrate_scattering(fam, k, energy, 20.0, n_steps)
+    a, b = fd_oracle._integrate_scattering(_march_lattice(fam, energy, 20.0, n_steps), k, 20.0)
     a_ref, b_ref = _sequential_march(fam, k, energy, 20.0, n_steps)
     assert isinstance(a, complex) and isinstance(b, complex)
     assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
     assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("fam,k", MARCH_FAMILIES)
+def test_coarse_march_on_every_other_fine_point(fam, k):
+    # the coarse march reads every other point of the fine march's lattice;
+    # those points differ from a directly spaced coarse lattice by rounding only
+    energy = k * k + fam.asymptotes[0]
+    n_steps = 40000
+    a, b = fd_oracle._integrate_scattering(
+        _march_lattice(fam, energy, 20.0, n_steps, points_per_step=4)[::2], k, 20.0)
+    a_ref, b_ref = fd_oracle._integrate_scattering(
+        _march_lattice(fam, energy, 20.0, n_steps), k, 20.0)
+    assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
+    assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
+
+
+def test_ordered_product_delta_matches_matrix_product():
+    # odd lengths carry a matrix up unchanged at some level of the tree
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 5, 8, 13):
+        d = rng.normal(scale=0.1, size=(n, 2, 2))
+        expected = np.eye(2)
+        for dj in d:
+            expected = (np.eye(2) + dj) @ expected
+        got = fd_oracle._ordered_product_delta(d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1])
+        assert all(isinstance(x, float) for x in got)
+        assert np.allclose(np.reshape(got, (2, 2)), expected - np.eye(2), rtol=0.0,
+                           atol=1e-14)
+
+
+def test_scattering_reports_its_diagnostics(monkeypatch):
+    sizes = []
+    real = fd_oracle.potential_values
+
+    def counting(fam, zs):
+        sizes.append(len(zs))
+        return real(fam, zs)
+
+    monkeypatch.setattr(fd_oracle, "potential_values", counting)
+    res = scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1.0, 20.0, 1e-2)
+    # the tail check, then one fine half-step lattice for both marches
+    assert sizes == [2, 4 * 4000 + 1]
+    assert res.rk4_steps == (4000, 8000)
+    assert res.step == 5e-3
+    assert 0.0 < res.step_halving_drift <= fd_oracle.STEP_HALVING_TOL
+    a, b = fd_oracle._integrate_scattering(
+        _march_lattice(PoschlTeller(Fraction(3, 2)), 1.0, 20.0, 4000, points_per_step=4)[::2],
+        1.0, 20.0)
+    assert res.step_halving_drift == abs(res.r2 - abs(b) ** 2 / abs(a) ** 2)

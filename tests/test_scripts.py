@@ -1,6 +1,8 @@
 import csv
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,3 +58,39 @@ def test_reflection_scan_numerical_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("numerical failure")
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["--l-max", "1e6"], "8.000e+6"),
+    (["--l-min", "0", "--l-max", "1", "--step", "1/100000"], "1.000e+5"),
+    (["--l-max", "1e400"], "8.000e+400"),
+], ids=["l-max-1e6", "fine-step", "l-max-1e400"])
+def test_reflection_scan_size_cap_exits_2(argv, rows, tmp_path, capsys, monkeypatch):
+    module = load_script("reflection_scan")
+    calls = []
+    monkeypatch.setattr(module, "scattering_amplitudes",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "scan.csv"
+    code = module.main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {rows} scan rows requested, above the size cap of "
+                   f"{module.ROW_CAP}\n")
+    assert not out.exists()
+    assert calls == []
+
+
+def test_reflection_scan_row_count_at_cap_runs(tmp_path, monkeypatch):
+    module = load_script("reflection_scan")
+    calls = []
+
+    def fake(fam, k):
+        calls.append(fam.l)
+        return SimpleNamespace(r2=0.0, flux_defect=0.0)
+
+    monkeypatch.setattr(module, "scattering_amplitudes", fake)
+    step = Fraction(1, module.ROW_CAP - 1)
+    code = module.main(["--l-min", "0", "--l-max", "1", "--step", str(step),
+                        "--out", str(tmp_path / "scan.csv")])
+    assert code == 0
+    assert len(calls) == module.ROW_CAP
