@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
                 depth += step
     except OSError as exc:
         ap.error(str(exc))
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:  # as susyqm.cli.main
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {args.out}")

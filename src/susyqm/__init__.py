@@ -14,14 +14,11 @@ from .orthopoly import (
     check_legendre_identity, gegenbauer_poly, jacobi_poly, legendre_poly,
     proportionality_constant,
 )
-from .potentials import (
-    CustomPotential, PoschlTeller, PotentialFamily, RosenMorseII, potential_values,
-)
+from .potentials import PoschlTeller, PotentialFamily, RosenMorseII, potential_values
 from .spectra import (
-    GegenbauerReduction, SpectrumEntry, gamma_deformed_residual,
-    gegenbauer_spectrum, poschl_teller_energy, poschl_teller_levels,
-    poschl_teller_spectrum, rosen_morse_eigenfunction, rosen_morse_energy,
-    rosen_morse_levels, rosen_morse_spectrum,
+    GegenbauerReduction, gamma_deformed_residual, gegenbauer_spectrum,
+    poschl_teller_energy, poschl_teller_levels, rosen_morse_eigenfunction,
+    rosen_morse_energy, rosen_morse_levels,
 )
 from .susy_core import (
     ClosedFormSuperpotential, PartnerPair, annihilation_check, partner_potentials,

@@ -22,13 +22,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from . import coordinate_maps as cmaps
 from . import fd_oracle, orthopoly, spectra, susy_core
-from .potentials import CustomPotential, PoschlTeller, RosenMorseII
+from .potentials import PoschlTeller, RosenMorseII
 from .tanh_algebra import HypWave, eigen_residual_symbolic, eval_wave, ladder_chain
 
 CONFIG_ENV_VAR = "SUSYQM_CONFIG"
@@ -232,10 +233,12 @@ def parse_command(argv: list[str]) -> Command:
             grid = _deformed_default_grid(params["alpha"], params["beta"])
             params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
     for what, size in _request_sizes(sub, params):
-        # float() of a size past the double range raises OverflowError: main exits 3
-        size = float(size)
         if size > SIZE_CAP:
-            raise UsageError(f"{size:.4g} {what} requested, above the size cap of {SIZE_CAP}")
+            try:
+                size_text = f"{float(size):.4g}"
+            except OverflowError:  # an int past the double range
+                size_text = f"{Decimal(size):.4g}"
+            raise UsageError(f"{size_text} {what} requested, above the size cap of {SIZE_CAP}")
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
@@ -327,8 +330,7 @@ def checks_riccati(params: dict) -> list[dict]:
                  (Fraction(3, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1))):
         w = susy_core.ClosedFormSuperpotential(k, s)
         pair = susy_core.partner_potentials(w)
-        sampled = CustomPotential.from_arrays(zs, pair.v1.values(np.tanh(zs)))
-        resid = susy_core.riccati_residual(sampled, w)
+        resid = susy_core.riccati_residual(zs, pair.v1.values(np.tanh(zs)), w)
         out.append(check(f"riccati-roundtrip-k-{k}-s-{s}", resid, 0.0, 1e-10,
                          "closed-form"))
         diff_ok = (pair.v2 - pair.v1) == 2 * w.derivative_tanh_poly()
@@ -514,16 +516,17 @@ def checks_spectra(params: dict) -> list[dict]:
     for p, q in ((2, Fraction(3, 2)), (0, Fraction(3, 2)), (1, Fraction(2)),
                  (3, Fraction(5, 2))):
         red = spectra.gegenbauer_spectrum(p, q)
-        ok = (red.target.n == p
-              and spectra.poschl_teller_energy(red.n_prime, p) == -(red.m_prime ** 2)
+        ok = (p in spectra.poschl_teller_levels(red.n_prime)
+              and red.target_energy == -(red.m_prime ** 2)
               and red.reflectionless == (red.n_prime.denominator == 1))
         out.append(check(f"ultraspherical-target-p-{p}-q-{q}", provenance="closed-form",
                          passed=ok))
     return out
 
 
-def _deformed_default_grid(alpha: float, beta: float, step: float = 1e-3) -> fd_oracle.Grid:
-    """Chart-respecting default window: half a chart width from the edge, 8 out."""
+def _deformed_default_grid(alpha: float, beta: float) -> fd_oracle.Grid:
+    """Chart-respecting default window, half a chart width from the edge and 8
+    out, with spacing 1e-3."""
     gamma = beta - alpha
     if abs(gamma) < cmaps.GAMMA_SWITCH:
         lo, hi = -6.0, 6.0
@@ -531,7 +534,7 @@ def _deformed_default_grid(alpha: float, beta: float, step: float = 1e-3) -> fd_
         lo, hi = -0.5 / gamma, 8.0
     else:
         lo, hi = -8.0, 0.5 / (-gamma)
-    points = int(round((hi - lo) / step)) + 1
+    points = int(round((hi - lo) / 1e-3)) + 1
     return fd_oracle.Grid(lo, hi, points)
 
 
@@ -586,25 +589,27 @@ SECTION_RUNNERS = {
 # subcommand execution
 
 
+def _spectrum_rows(fam: PoschlTeller | RosenMorseII) -> list[dict]:
+    """One row per bound level, then the zero-energy threshold level if any."""
+    rows = [{"n": n, "energy": float(fam.energy(n)), "kind": "bound"} for n in fam.levels()]
+    if (n := fam.threshold_level) is not None:
+        rows.append({"n": n, "energy": float(fam.energy(n)), "kind": "threshold"})
+    return rows
+
+
 def run_spectrum(params: dict) -> dict:
-    extra = {}
-    if params["family"] == "gegenbauer":
-        if "p" not in params or "q" not in params:
-            raise UsageError("--p and --q are required for the ultraspherical family")
-        red = spectra.gegenbauer_spectrum(params["p"], params["q"])
-        entries = red.entries
-        extra = {
-            "n_prime": str(red.n_prime),
-            "m_prime": str(red.m_prime),
-            "target_level": red.target.n,
-            "target_energy": red.target.energy,
-            "reflectionless": red.reflectionless,
-        }
-    else:
-        entries = _family(params).spectrum()
+    if params["family"] != "gegenbauer":
+        return {"entries": _spectrum_rows(_family(params))}
+    if "p" not in params or "q" not in params:
+        raise UsageError("--p and --q are required for the ultraspherical family")
+    red = spectra.gegenbauer_spectrum(params["p"], params["q"])
     return {
-        "entries": [{"n": e.n, "energy": e.energy, "kind": e.kind} for e in entries],
-        **extra,
+        "entries": _spectrum_rows(PoschlTeller(red.n_prime)),
+        "n_prime": str(red.n_prime),
+        "m_prime": str(red.m_prime),
+        "target_level": params["p"],
+        "target_energy": float(red.target_energy),
+        "reflectionless": red.reflectionless,
     }
 
 
@@ -757,7 +762,12 @@ def _jsonable(value):
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    # json.dump writes each chunk as it goes; json.dumps with an indent first
+    # lists every chunk of the report
+    buf = io.StringIO()
+    json.dump(report, buf, indent=2, sort_keys=True, default=_jsonable)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def render_csv(report: dict) -> str:

@@ -259,28 +259,6 @@ class ScatteringResult:
     rk4_steps: tuple[int, int]
 
 
-def _symmetric_asymptote(fam: PotentialFamily, half_width: float) -> float:
-    """Common asymptotic value of V, or raise for unequal or undecayed tails."""
-    left, right = fam.asymptotes
-    if left != right:
-        raise NumericalError(
-            "scattering runs are restricted to symmetric tails; "
-            f"{fam!r} has unequal asymptotes {left} and {right}"
-        )
-    try:
-        tails = potential_values(fam, np.array([-half_width, half_width]))
-    except ValueError as exc:
-        # sampled potentials cannot be evaluated on the integrator's lattice
-        raise NumericalError(f"family {fam!r} is not supported for scattering: {exc}") from exc
-    defect = float(np.max(np.abs(tails - left)))
-    if not (defect <= 1e-10):
-        raise NumericalError(
-            f"potential has not decayed at |z| = {half_width}: |V - V_inf| = {defect:.3e}; "
-            "increase the half width"
-        )
-    return left
-
-
 def _rk4_step_deltas(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray,
                      s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The entries (D00, D01, D10, D11) of D_j = M_j - I, one flat array each,
@@ -364,7 +342,9 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
 
     The incident energy is E = k^2 + V_inf.  V - E is evaluated once, on the
     half-step lattice of the fine march (step h/2); the coarse march (step h)
-    reads every other point of it.  Two built-in sanity checks guard the
+    reads every other point of it.  Unequal asymptotes, or a V that has not
+    decayed to within 1e-10 of V_inf at the lattice's end points +-L, raise
+    NumericalError before the march.  Two built-in sanity checks guard the
     integration: flux conservation |R|^2 + |T|^2 = 1 within 1e-6, and
     agreement of |R|^2 between step h and h/2 within 1e-7.  Violations raise
     NumericalError with diagnostics; a k, half width or step that is not
@@ -374,7 +354,12 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
     for name, value in (("wavenumber", k), ("half width", half_width), ("step", step)):
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    v_inf = _symmetric_asymptote(fam, half_width)
+    v_inf, right = fam.asymptotes
+    if v_inf != right:
+        raise NumericalError(
+            "scattering runs are restricted to symmetric tails; "
+            f"{fam!r} has unequal asymptotes {v_inf} and {right}"
+        )
     energy = k * k + v_inf
 
     def probabilities(v_shift: np.ndarray) -> tuple[float, float]:
@@ -393,7 +378,15 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
 
     n_steps = max(2, int(round(2.0 * half_width / step)))
     h = 2.0 * half_width / n_steps
-    v_fine = potential_values(fam, np.linspace(half_width, -half_width, 4 * n_steps + 1)) - energy
+    # linspace ends exactly at +-L, so its end points are the tails to check
+    v_fine = potential_values(fam, np.linspace(half_width, -half_width, 4 * n_steps + 1))
+    defect = float(np.max(np.abs(v_fine[[0, -1]] - v_inf)))
+    if not (defect <= 1e-10):
+        raise NumericalError(
+            f"potential has not decayed at |z| = {half_width}: |V - V_inf| = {defect:.3e}; "
+            "increase the half width"
+        )
+    v_fine -= energy
     r2_coarse = probabilities(v_fine[::2])[0]
     r2, t2 = probabilities(v_fine)
     drift = abs(r2 - r2_coarse)

@@ -6,8 +6,9 @@ Sign conventions, fixed once for the whole package (c = hbar/sqrt(2m) = 1):
   tanh-tilted well   V(z) = n'(n'+1) tanh^2 z - 2B tanh z            (edges n'(n'+1) -+ 2B)
 
 Both wells are shape invariant and answer to one interface: tanh_poly() and
-values() give V, asymptotes and continuum_edge its tails, levels(), energy(n),
-eigenfunction(n) and spectrum() the closed forms of spectra, and fd_ceiling the
+values() give V, asymptotes and continuum_edge its tails, levels(), energy(n)
+and eigenfunction(n) the closed forms of its bound states, threshold_level the
+zero-energy edge state of an integer-depth sech well, and fd_ceiling the
 energy below which the finite-difference oracle counts bound levels.  The
 log-deformed zero-energy family has no level-independent potential, so it is
 no family here; spectra.gamma_deformed_residual verifies it level by level.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -56,8 +56,14 @@ class PoschlTeller:
     def fd_ceiling(self) -> float:
         return -1e-6
 
-    def levels(self) -> list[int]:
+    def levels(self) -> range:
         return spectra.poschl_teller_levels(self.l)
+
+    @property
+    def threshold_level(self) -> int | None:
+        """Level n = l of the zero-energy edge state: bounded but not normalizable,
+        so never among levels(); it exists only for a positive integer l."""
+        return int(self.l) if self.l > 0 and self.l.denominator == 1 else None
 
     def energy(self, n: int) -> Fraction:
         return spectra.poschl_teller_energy(self.l, n)
@@ -65,9 +71,6 @@ class PoschlTeller:
     def eigenfunction(self, n: int) -> HypWave:
         """Level n from the ladder chain; n = l is the integer-l threshold state."""
         return ladder_chain(self.l, n)
-
-    def spectrum(self) -> list[spectra.SpectrumEntry]:
-        return spectra.poschl_teller_spectrum(self.l)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,12 @@ class RosenMorseII:
     def fd_ceiling(self) -> float:
         return self.continuum_edge - 1e-9
 
-    def levels(self) -> list[int]:
+    def levels(self) -> range:
         return spectra.rosen_morse_levels(self.n_prime, self.B)
+
+    @property
+    def threshold_level(self) -> None:
+        return None
 
     def energy(self, n: int) -> Fraction:
         return spectra.rosen_morse_energy(self.n_prime, self.B, n)
@@ -118,46 +125,8 @@ class RosenMorseII:
     def eigenfunction(self, n: int) -> HypWave:
         return spectra.rosen_morse_eigenfunction(self.n_prime, self.B, n)
 
-    def spectrum(self) -> list[spectra.SpectrumEntry]:
-        return spectra.rosen_morse_spectrum(self.n_prime, self.B)
 
-
-@dataclass(frozen=True)
-class CustomPotential:
-    """Grid-sampled potential; z strictly increasing, values finite."""
-
-    z: tuple[float, ...]
-    v: tuple[float, ...]
-
-    def __post_init__(self):
-        z = tuple(float(x) for x in self.z)
-        v = tuple(float(x) for x in self.v)
-        if len(z) != len(v):
-            raise ValueError("sample arrays differ in length")
-        if any(b <= a for a, b in zip(z, z[1:])):
-            raise ValueError("sample abscissae must be strictly increasing")
-        if not all(np.isfinite(v)):
-            raise ValueError("potential samples must be finite")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", v)
-
-    @classmethod
-    def from_arrays(cls, z, v) -> "CustomPotential":
-        return cls(tuple(np.asarray(z, dtype=float)), tuple(np.asarray(v, dtype=float)))
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        zs = np.asarray(self.z)
-        if z.shape != zs.shape or not np.allclose(z, zs, rtol=0.0, atol=1e-12):
-            raise ValueError("requested points do not match the sampled abscissae")
-        return np.asarray(self.v, dtype=float)
-
-    @property
-    def asymptotes(self) -> tuple[float, float]:
-        return (self.v[0], self.v[-1])
-
-
-PotentialFamily = Union[PoschlTeller, RosenMorseII, CustomPotential]
+PotentialFamily = PoschlTeller | RosenMorseII
 
 
 def potential_values(fam: PotentialFamily, z: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Level energies:
 
   sech well (depth l):     E_n = -(l - n)^2 for n = 0 .. ceil(l) - 1, plus a
-                           zero-energy threshold level n = l when l is integer
+                           zero-energy threshold level n = l when l is a positive integer
                            (bounded but non-normalizable, never counted as bound).
   tanh-tilted well:        E_n = n'(n'+1) - (n'-n)^2 - B^2/(n'-n)^2 on levels
                            with n < n' and (n'-n)^2 > |B| (both decay exponents
@@ -36,28 +36,20 @@ if TYPE_CHECKING:  # fd_oracle imports potentials, which imports this module
     from .fd_oracle import Grid
 
 __all__ = [
-    "SpectrumEntry", "GegenbauerReduction",
-    "poschl_teller_energy", "poschl_teller_levels", "poschl_teller_spectrum",
-    "rosen_morse_energy", "rosen_morse_levels", "rosen_morse_spectrum",
-    "rosen_morse_eigenfunction", "gegenbauer_spectrum", "gamma_deformed_residual",
+    "GegenbauerReduction", "poschl_teller_energy", "poschl_teller_levels",
+    "rosen_morse_energy", "rosen_morse_levels", "rosen_morse_eigenfunction",
+    "gegenbauer_spectrum", "gamma_deformed_residual",
 ]
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    n: int
-    energy: float
-    kind: str  # "bound" or "threshold"
-
-
-@dataclass(frozen=True)
 class GegenbauerReduction:
-    """Sech-well tower seen by the ultraspherical family, with its target level."""
+    """Sech well n' = p + q - 1/2 seen by the ultraspherical family, and the exact
+    energy of its target level n = p."""
 
     n_prime: Fraction
     m_prime: Fraction
-    entries: tuple[SpectrumEntry, ...]
-    target: SpectrumEntry
+    target_energy: Fraction
     reflectionless: bool
 
 
@@ -70,25 +62,6 @@ def poschl_teller_energy(l, n: int) -> Fraction:
 def poschl_teller_levels(l) -> range:
     """Bound level indices n = 0 .. ceil(l) - 1 of the depth-l sech well."""
     return range(math.ceil(as_fraction(l)))
-
-
-def poschl_teller_spectrum(l) -> list[SpectrumEntry]:
-    """All negative levels of the depth-l sech well, plus the integer-l threshold.
-
-    Bound levels are n = 0 .. ceil(l) - 1; for integer l the zero-energy edge
-    state is reported with kind "threshold" and excluded from bound counts.
-    Nonpositive l holds nothing and yields an empty spectrum.
-    """
-    lf = as_fraction(l)
-    if lf <= 0:
-        return []
-    entries = [
-        SpectrumEntry(n, float(poschl_teller_energy(lf, n)), "bound")
-        for n in poschl_teller_levels(lf)
-    ]
-    if lf.denominator == 1:
-        entries.append(SpectrumEntry(int(lf), 0.0, "threshold"))
-    return entries
 
 
 def _validated_rm(n_prime, B) -> tuple[Fraction, Fraction]:
@@ -126,15 +99,6 @@ def rosen_morse_levels(n_prime, B) -> range:
     return range(hi)
 
 
-def rosen_morse_spectrum(n_prime, B) -> list[SpectrumEntry]:
-    """Bound levels of V = n'(n'+1) tanh^2 z - 2B tanh z, strictly increasing."""
-    np_, bf = _validated_rm(n_prime, B)
-    return [
-        SpectrumEntry(n, float(rosen_morse_energy(np_, bf, n)), "bound")
-        for n in rosen_morse_levels(np_, bf)
-    ]
-
-
 def rosen_morse_eigenfunction(n_prime, B, n: int) -> HypWave:
     """Closed-form level n of the tanh-tilted well (unnormalized).
 
@@ -167,15 +131,10 @@ def gegenbauer_spectrum(p: int, q) -> GegenbauerReduction:
     if qf <= Fraction(1, 2):
         raise ValueError(f"need q > 1/2 for a decaying target state, got {qf}")
     n_prime = p + qf - Fraction(1, 2)
-    m_prime = qf - Fraction(1, 2)
-    entries = tuple(poschl_teller_spectrum(n_prime))
-    target = entries[p]
-    assert target.n == p and target.kind == "bound"
     return GegenbauerReduction(
         n_prime=n_prime,
-        m_prime=m_prime,
-        entries=entries,
-        target=target,
+        m_prime=qf - Fraction(1, 2),
+        target_energy=poschl_teller_energy(n_prime, p),
         reflectionless=(n_prime.denominator == 1),
     )
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .potentials import CustomPotential
 from .tanh_algebra import HypWave, TanhPoly, apply_lowering, as_fraction
 
 
@@ -63,12 +62,12 @@ def partner_potentials(w: ClosedFormSuperpotential) -> PartnerPair:
                        ground_offset=w.k * w.k + w.s * w.s)
 
 
-def riccati_residual(v1: CustomPotential, w: ClosedFormSuperpotential) -> float:
-    """Sup-norm over the sample grid of V1 - (W^2 - W'), W evaluated exactly."""
-    zs = np.asarray(v1.z)
+def riccati_residual(zs: np.ndarray, v1: np.ndarray, w: ClosedFormSuperpotential) -> float:
+    """Sup-norm over the points zs of the samples v1 - (W^2 - W'), W evaluated exactly."""
+    zs = np.asarray(zs, dtype=float)
     wv = w.values(zs)
     dv = float(w.k) / np.cosh(zs) ** 2
-    return float(np.max(np.abs(np.asarray(v1.v) - (wv * wv - dv))))
+    return float(np.max(np.abs(np.asarray(v1, dtype=float) - (wv * wv - dv))))
 
 
 def shape_invariance_remainder(k) -> tuple[Fraction, float]:

@@ -496,9 +496,8 @@ def ladder_chain(n_prime, n: int) -> HypWave:
 def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
     """Residual polynomial of (-d^2/dz^2 + V - E) w for exact tanh-form potentials.
 
-    The family must expose an exact polynomial V(tanh z) via fam.tanh_poly()
-    (true for the sech^2 and tanh^2/tanh wells; a grid-sampled potential has
-    no such form and is rejected).
+    The family must expose an exact polynomial V(tanh z) via fam.tanh_poly(),
+    as the sech^2 and tanh^2/tanh wells do; any other object is rejected.
     The common weight (1-t)^a (1+t)^b is factored out and the remaining
     polynomial returned: it is identically zero iff (w, E) is an exact
     eigenpair.

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -221,7 +222,6 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--family", "poschl-teller", "--l", "1e400"],
     # about -1.9e373, past the double range
     ["eigenfunction", "--family", "poschl-teller", "--l", "200", "--n", "199",
      "--z", "0.3"],
@@ -266,6 +266,10 @@ OVERSIZED = [
     (["deformed", "--alpha", "1", "--beta", "2", "--grid-min", "-0.4", "--grid-max", "8",
       "--grid-points", "10000000000"], "1e+10 grid points"),
     (["scatter", "--k", "1", "--grid-max", "1e300"], "8e+303 RK4 lattice points"),
+    # sizes past the double range
+    (["spectrum", "--family", "poschl-teller", "--l", "1e400"], "1.000e+400 levels"),
+    (["oracle", "--family", "rosen-morse", "--nprime", "1e400"], "1.000e+400 levels"),
+    (["verify", "spectra", "--grid-points", str(10 ** 400)], "1.000e+400 grid points"),
 ]
 SCATTER_STEP_1E_12 = [["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
                       ["verify", "scatter"], ["verify", "all"]]
@@ -379,6 +383,50 @@ def test_spectrum_csv_rows(capsys):
     assert lines[1:] == ["0,-9.0,bound", "1,-4.0,bound", "2,-1.0,bound",
                          "3,0.0,threshold"]
     assert any(line.startswith("# l = 3") for line in out.splitlines())
+
+
+# sha256 of the exact stdout of `spectrum`, taken when the rows still came
+# from a per-level entry list
+SPECTRUM_GOLDEN = [
+    ("poschl-teller", "--l 0",
+     "2b4cc274a077fb3c28114816851d4dd50b04d99828a0e59290e68d7ea35807d9",
+     "4ba62387e01df16bc4f835459072d76baa7699057674c331870ba2dd9615a16e"),
+    ("poschl-teller", "--l 1",
+     "2a5d3d0e57b59d36ae82c3fee113a296e1037e68f31c29d76c4b8cd77851b797",
+     "12c0e9f04d65f9e22f325517099f052f9fd1617bf7bd0ab11675c0776770fe4e"),
+    ("poschl-teller", "--l 5/2",
+     "92bbec9729291a968b276cff1ea609179d136b5bda7718a9fd154fe1861e1391",
+     "c4cda0c397c0ecf737b6028774eb2da635627bdc2473de9ef16f4471ea9601f7"),
+    ("poschl-teller", "--l 3",
+     "7446369079a34c6f480498c596366c75a77b6737a671491e70235ca027070abf",
+     "cdf086987189785eac4d37fee5df8d159cdf6dd60863b7f12ac069802cce83aa"),
+    ("rosen-morse", "--nprime 2 --B 1",
+     "cc300e945e1688efd021b990518f7c86ddefa1d10f30c5f4eecc971d99a50657",
+     "2ec3a38718e24153eaf5f85960baf3abf827d7e1bb9d7617b94c6e275a43832a"),
+    ("rosen-morse", "--nprime 5/2 --B 1/2",
+     "f8fa95f88bb764d6977fad63cc1db06411133f65952a15e3513b5a716f2c1d73",
+     "eaa196218110fd603590be5a193d75f7bfd4e137457f4862053ffa4d7b2fa176"),
+    ("gegenbauer", "--p 0 --q 3/2",
+     "6ad56d9f4a5b6d596b562f1e6c656578a01767cef7d4d8b72368760a5648cf09",
+     "a8a5678124526ade4fd16377bac3fe6dbf06b66259e667b46ad850f28ff12f22"),
+    ("gegenbauer", "--p 1 --q 2",
+     "d45b1282fa9fe5e81c7c97db7436421c47d5ffd0a32d6fb85ba41195e6f90362",
+     "036bcb9fd50cdcb06565cf822ec17f66048ac169aa4107f05ab115a7624cbe5e"),
+    ("gegenbauer", "--p 2 --q 3/2",
+     "95b140d43d135241295a594c0964dba474b61107281261d0603a462cd1296975",
+     "d207daa276d9e8a16df6a65406274db41f71fcc9589d182701604d67b36c9903"),
+]
+
+
+@pytest.mark.parametrize("family,flags,json_sha,csv_sha", SPECTRUM_GOLDEN,
+                         ids=[f"{family}{flags.replace(' ', '')}"
+                              for family, flags, _j, _c in SPECTRUM_GOLDEN])
+def test_spectrum_golden(family, flags, json_sha, csv_sha, capsys):
+    argv = ["spectrum", "--family", family, *flags.split()]
+    for fmt, sha in (("json", json_sha), ("csv", csv_sha)):
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
 def test_map_report_contents(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from susyqm import (
-    CustomPotential, Grid, NumericalError, PoschlTeller, RosenMorseII,
+    Grid, NumericalError, PoschlTeller, RosenMorseII,
     TanhPoly, TridiagonalOperator, bound_state_eigenvalues, discretize, fd_oracle,
     poschl_teller_energy, potential_values, rosen_morse_levels, scattering_amplitudes,
     sech_well_reflection_exact,
@@ -63,14 +63,6 @@ def test_discretize_tilted_asymptote():
     op = discretize(RosenMorseII(2, HALF), GRID)
     # V -> n'(n'+1) - 2B = 5 at z -> +inf
     assert op.diagonal[-1] == pytest.approx(2.0 / GRID.h ** 2 + 5.0, abs=1e-8)
-
-
-def test_discretize_custom_alignment():
-    zs = GRID.zs()
-    fam = CustomPotential.from_arrays(zs, np.zeros_like(zs))
-    assert discretize(fam, GRID).size == GRID.points
-    with pytest.raises(ValueError):
-        discretize(fam, Grid(-12.0, 12.0, 1001))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +296,6 @@ def test_scatter_rejects_asymmetric_tails():
         scattering_amplitudes(RosenMorseII(2, HALF), 1.0)
 
 
-def test_scatter_rejects_sampled_potential():
-    zs = np.linspace(-20.0, 20.0, 401)
-    with pytest.raises(NumericalError, match="not supported"):
-        scattering_amplitudes(CustomPotential.from_arrays(zs, np.zeros_like(zs)), 1.0)
-
-
 def test_scatter_rejects_undecayed_window():
     with pytest.raises(NumericalError):
         scattering_amplitudes(PoschlTeller(1), 1.0, half_width=3.0)
@@ -419,8 +405,8 @@ def test_scattering_reports_its_diagnostics(monkeypatch):
 
     monkeypatch.setattr(fd_oracle, "potential_values", counting)
     res = scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1.0, 20.0, 1e-2)
-    # the tail check, then one fine half-step lattice for both marches
-    assert sizes == [2, 4 * 4000 + 1]
+    # one fine half-step lattice for the tail check and both marches
+    assert sizes == [4 * 4000 + 1]
     assert res.rk4_steps == (4000, 8000)
     assert res.step == 5e-3
     assert 0.0 < res.step_halving_drift <= fd_oracle.STEP_HALVING_TOL

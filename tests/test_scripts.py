@@ -60,6 +60,15 @@ def test_reflection_scan_numerical_failure_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("numerical failure")
 
 
+def test_reflection_scan_overflow_exits_3(tmp_path, capsys):
+    # V = -l(l+1) sech^2 z at l = 1e400 is past the double range
+    code = load_script("reflection_scan").main(
+        ["--l-min", "1e400", "--l-max", "1e400", "--out", str(tmp_path / "scan.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("numerical failure")
+
+
 @pytest.mark.parametrize("argv,rows", [
     (["--l-max", "1e6"], "8.000e+6"),
     (["--l-min", "0", "--l-max", "1", "--step", "1/100000"], "1.000e+5"),

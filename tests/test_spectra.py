@@ -8,10 +8,11 @@ import hypothesis.strategies as st
 from susyqm import (
     ChartDomainError, Grid, HypWave, PoschlTeller, RosenMorseII, TanhPoly,
     eigen_residual_symbolic, gamma_deformed_residual, gegenbauer_spectrum,
-    ladder_chain, poschl_teller_energy, poschl_teller_levels, poschl_teller_spectrum,
+    ladder_chain, poschl_teller_energy, poschl_teller_levels,
     proportionality_constant, rosen_morse_eigenfunction, rosen_morse_energy,
-    rosen_morse_levels, rosen_morse_spectrum,
+    rosen_morse_levels,
 )
+from susyqm.cli import run_spectrum
 
 HALF = Fraction(1, 2)
 
@@ -20,41 +21,52 @@ HALF = Fraction(1, 2)
 # sech-well tower
 
 
+def spectrum_rows(**params):
+    """(n, energy, kind) of each row of a `spectrum` report."""
+    return [(e["n"], e["energy"], e["kind"]) for e in run_spectrum(params)["entries"]]
+
+
 def test_pt_spectrum_integer_depth():
-    entries = poschl_teller_spectrum(3)
-    assert [(e.n, e.energy, e.kind) for e in entries] == [
+    fam = PoschlTeller(3)
+    assert [(n, fam.energy(n)) for n in fam.levels()] == [(0, -9), (1, -4), (2, -1)]
+    assert fam.threshold_level == 3 and fam.energy(3) == 0
+    assert spectrum_rows(family="poschl-teller", l=Fraction(3)) == [
         (0, -9.0, "bound"), (1, -4.0, "bound"), (2, -1.0, "bound"),
         (3, 0.0, "threshold"),
     ]
 
 
 def test_pt_spectrum_single_level():
-    entries = poschl_teller_spectrum(1)
-    assert [(e.n, e.energy, e.kind) for e in entries] == [
+    assert spectrum_rows(family="poschl-teller", l=Fraction(1)) == [
         (0, -1.0, "bound"), (1, 0.0, "threshold")]
 
 
 def test_pt_spectrum_fractional_depth():
-    entries = poschl_teller_spectrum(Fraction(5, 2))
-    assert [e.energy for e in entries] == [-6.25, -2.25, -0.25]
-    assert all(e.kind == "bound" for e in entries)  # no threshold entry
+    fam = PoschlTeller(Fraction(5, 2))
+    assert [fam.energy(n) for n in fam.levels()] == [Fraction(-25, 4), Fraction(-9, 4),
+                                                     Fraction(-1, 4)]
+    assert fam.threshold_level is None  # no threshold entry
+    assert [kind for _n, _e, kind in spectrum_rows(family="poschl-teller", l=Fraction(5, 2))] \
+        == ["bound"] * 3
 
 
 def test_pt_spectrum_empty_for_nonpositive_depth():
-    assert poschl_teller_spectrum(0) == []
-    assert poschl_teller_spectrum(Fraction(-3, 2)) == []
+    fam = PoschlTeller(0)
+    assert list(fam.levels()) == [] and fam.threshold_level is None
+    assert spectrum_rows(family="poschl-teller", l=Fraction(0)) == []
+    assert list(poschl_teller_levels(Fraction(-3, 2))) == []
 
 
 @given(l=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(8),
                       max_denominator=4))
 @settings(max_examples=60)
 def test_pt_energies_increasing_and_negative(l):
-    entries = poschl_teller_spectrum(l)
-    bound = [e for e in entries if e.kind == "bound"]
-    assert len(bound) == math.ceil(l)
-    energies = [e.energy for e in bound]
+    fam = PoschlTeller(l)
+    assert len(fam.levels()) == math.ceil(l)
+    energies = [fam.energy(n) for n in fam.levels()]
     assert all(b > a for a, b in zip(energies, energies[1:]))
     assert all(e < 0 for e in energies)
+    assert fam.threshold_level == (l if l.denominator == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -62,18 +74,21 @@ def test_pt_energies_increasing_and_negative(l):
 
 
 def test_rm_spectrum_examples():
-    assert [e.energy for e in rosen_morse_spectrum(2, HALF)] == [1.9375, 4.75]
-    assert [e.energy for e in rosen_morse_spectrum(2, 0)] == [2.0, 5.0]
+    fam = RosenMorseII(2, HALF)
+    assert [float(fam.energy(n)) for n in fam.levels()] == [1.9375, 4.75]
+    fam = RosenMorseII(2, 0)
+    assert [float(fam.energy(n)) for n in fam.levels()] == [2.0, 5.0]
     # boundary case: (n'-1)^2 = 1 is not > |B| = 1, so only the ground state
-    entries = rosen_morse_spectrum(2, 1)
-    assert [(e.n, e.energy) for e in entries] == [(0, 1.75)]
+    assert spectrum_rows(family="rosen-morse", nprime=Fraction(2), B=Fraction(1)) \
+        == [(0, 1.75, "bound")]
+    assert RosenMorseII(2, 1).threshold_level is None
 
 
 def test_rm_preconditions():
     with pytest.raises(ValueError):
-        rosen_morse_spectrum(2, 5)  # |B| >= n'^2
+        RosenMorseII(2, 5)  # |B| >= n'^2
     with pytest.raises(ValueError):
-        rosen_morse_spectrum(-1, 0)
+        RosenMorseII(-1, 0)
 
 
 def test_rm_reduces_to_shifted_sech_tower():
@@ -90,11 +105,11 @@ def test_rm_reduces_to_shifted_sech_tower():
 def test_rm_spectrum_properties(n_prime, B):
     if abs(B) >= n_prime ** 2:
         with pytest.raises(ValueError):
-            rosen_morse_spectrum(n_prime, B)
+            RosenMorseII(n_prime, B)
         return
-    entries = rosen_morse_spectrum(n_prime, B)
-    edge = float(n_prime * (n_prime + 1) - 2 * abs(B))
-    energies = [e.energy for e in entries]
+    fam = RosenMorseII(n_prime, B)
+    edge = n_prime * (n_prime + 1) - 2 * abs(B)
+    energies = [fam.energy(n) for n in fam.levels()]
     assert all(b > a for a, b in zip(energies, energies[1:]))
     assert all(e < edge for e in energies)
 
@@ -159,23 +174,25 @@ def test_level_ranges_are_not_listed():
 def test_gegenbauer_spectrum_examples():
     red = gegenbauer_spectrum(2, Fraction(3, 2))
     assert red.n_prime == 3 and red.m_prime == 1
-    assert red.target.n == 2 and red.target.energy == -1.0
+    assert 2 in poschl_teller_levels(red.n_prime) and red.target_energy == -1
     assert red.reflectionless
 
     red = gegenbauer_spectrum(0, Fraction(3, 2))
-    assert red.target.n == 0 and red.target.energy == -1.0
+    assert 0 in poschl_teller_levels(red.n_prime) and red.target_energy == -1
 
     red = gegenbauer_spectrum(1, 2)
     assert red.n_prime == Fraction(5, 2) and red.m_prime == Fraction(3, 2)
-    assert red.target.energy == -2.25
+    assert red.target_energy == Fraction(-9, 4)
     assert not red.reflectionless
 
 
 def test_gegenbauer_spectrum_delegates_to_sech_tower():
     red = gegenbauer_spectrum(3, Fraction(5, 2))
-    assert [e.energy for e in red.entries] \
-        == [e.energy for e in poschl_teller_spectrum(red.n_prime)]
-    assert red.target.energy == -float(red.m_prime ** 2)
+    report = run_spectrum({"family": "gegenbauer", "p": 3, "q": Fraction(5, 2)})
+    assert report["entries"] \
+        == run_spectrum({"family": "poschl-teller", "l": red.n_prime})["entries"]
+    assert red.target_energy == poschl_teller_energy(red.n_prime, 3) == -(red.m_prime ** 2)
+    assert (report["target_level"], report["target_energy"]) == (3, -float(red.m_prime ** 2))
 
 
 def test_gegenbauer_spectrum_rejects_small_q():

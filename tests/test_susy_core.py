@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import rationals
 from susyqm import (
-    ClosedFormSuperpotential, CustomPotential, Grid, TanhPoly, annihilation_check,
+    ClosedFormSuperpotential, Grid, TanhPoly, annihilation_check,
     partner_potentials, poschl_teller_energy, riccati_residual,
     shape_invariance_remainder, si_level_energy,
 )
@@ -46,21 +46,21 @@ def test_partner_difference_is_2wprime(k, s):
 def test_riccati_roundtrip():
     w = closed(1)
     zs = GRID.zs()
-    v1 = CustomPotential.from_arrays(zs, partner_potentials(w).v1.values(np.tanh(zs)))
-    assert riccati_residual(v1, w) <= 1e-10
+    v1 = partner_potentials(w).v1.values(np.tanh(zs))
+    assert riccati_residual(zs, v1, w) <= 1e-10
 
 
 def test_riccati_detects_constant_offset():
     zs = GRID.zs()
-    v1 = CustomPotential.from_arrays(zs, -2.0 / np.cosh(zs) ** 2)
-    assert riccati_residual(v1, closed(1)) == pytest.approx(1.0, abs=1e-12)
+    v1 = -2.0 / np.cosh(zs) ** 2
+    assert riccati_residual(zs, v1, closed(1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_riccati_detects_sign_flip():
     zs = GRID.zs()
-    v1 = CustomPotential.from_arrays(zs, 1.0 - 2.0 / np.cosh(zs) ** 2)
+    v1 = 1.0 - 2.0 / np.cosh(zs) ** 2
     # W -> -W flips the W' term: residual sup |2 W'| = 2 sech^2(0)
-    assert riccati_residual(v1, closed(-1)) == pytest.approx(2.0, abs=1e-12)
+    assert riccati_residual(zs, v1, closed(-1)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_shape_invariance_examples():
