@@ -222,6 +222,9 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # near 2^1781, past the double range
+    ["eigenfunction", "--family", "poschl-teller", "--l", "300", "--n", "250",
+     "--z", "0.5"],
     # about -1.9e373, past the double range
     ["eigenfunction", "--family", "poschl-teller", "--l", "200", "--n", "199",
      "--z", "0.3"],
