@@ -20,6 +20,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 from susyqm import (
     NumericalError, PoschlTeller, scattering_amplitudes, sech_well_reflection_exact,
 )
@@ -27,6 +28,7 @@ from susyqm import (
 ROW_CAP = 10_000  # one scattering run per row, about 10 ms each
 
 
+@np.errstate(all="ignore")  # the guards report an overflow in one line, as susyqm.cli.main
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k", type=float, default=1.0)

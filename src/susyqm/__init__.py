@@ -17,8 +17,7 @@ from .orthopoly import (
 from .potentials import PoschlTeller, PotentialFamily, RosenMorseII, potential_values
 from .spectra import (
     GegenbauerReduction, gamma_deformed_residual, gegenbauer_spectrum,
-    poschl_teller_energy, poschl_teller_levels, rosen_morse_eigenfunction,
-    rosen_morse_energy, rosen_morse_levels,
+    rosen_morse_eigenfunction,
 )
 from .susy_core import (
     ClosedFormSuperpotential, PartnerPair, annihilation_check, partner_potentials,

@@ -203,12 +203,14 @@ def parse_command(argv: list[str]) -> Command:
     args = _parser().parse_args(argv)
     config = load_config(args.config)
     fmt = args.format or config["format"]
+    sub = args.subcommand
+    if fmt == "csv" and sub not in CSV_TABLES:
+        raise UsageError(f"csv output is not defined for {sub!r}")
     params = {
         key: value
         for key, value in vars(args).items()
         if key not in ("format", "output", "config", "subcommand") and value is not None
     }
-    sub = args.subcommand
     if sub in ("verify", "oracle"):
         for key in (*GRID_KEYS, "tol"):
             params.setdefault(key, config[key])
@@ -232,6 +234,9 @@ def parse_command(argv: list[str]) -> Command:
         if not given:
             grid = _deformed_default_grid(params["alpha"], params["beta"])
             params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
+    # a NaN, infinite or negative tolerance would fail or pass every check
+    if "tol" in params and not 0.0 <= params["tol"] < math.inf:
+        raise UsageError(f"tol must be finite and nonnegative, got {params['tol']!r}")
     for what, size in _request_sizes(sub, params):
         if size > SIZE_CAP:
             try:
@@ -246,12 +251,8 @@ def _request_sizes(sub: str, params: dict):
     """(what, size) of everything a command would allocate per level, grid
     point or RK4 lattice point, computed without allocating any of it."""
     if sub in ("spectrum", "oracle"):
-        if params["family"] == "gegenbauer":
-            if "p" in params and "q" in params:
-                yield "levels", math.ceil(params["p"] + params["q"])
-        else:
-            # levels() is range(count); .stop is count even past len()'s limit
-            yield "levels", _family(params).levels().stop
+        # levels() is range(count); .stop is count even past len()'s limit
+        yield "levels", _family(params).levels().stop
     if "grid_points" in params:
         yield "grid points", params["grid_points"]
     if sub == "scatter" or (sub == "verify" and params["section"] in ("scatter", "all")):
@@ -272,16 +273,19 @@ def _grid(params: dict) -> fd_oracle.Grid:
 
 
 def _family(params: dict) -> PoschlTeller | RosenMorseII:
+    """The well of --family; the ultraspherical family is the sech well it reduces to."""
     family = params["family"]
     if family == "poschl-teller":
         if "l" not in params:
             raise UsageError("--l is required for the sech-well family")
         return PoschlTeller(params["l"])
-    if family == "rosen-morse":
-        if "nprime" not in params:
-            raise UsageError("--nprime is required for the tanh-tilted family")
-        return RosenMorseII(params["nprime"], params["B"])
-    raise UsageError(f"family {family!r} has no potential form here")
+    if family == "gegenbauer":
+        if "p" not in params or "q" not in params:
+            raise UsageError("--p and --q are required for the ultraspherical family")
+        return PoschlTeller(spectra.gegenbauer_spectrum(params["p"], params["q"]).n_prime)
+    if "nprime" not in params:
+        raise UsageError("--nprime is required for the tanh-tilted family")
+    return RosenMorseII(params["nprime"], params["B"])
 
 
 def check(check_id: str, computed=None, expected="zero", tolerance="exact",
@@ -353,11 +357,9 @@ def checks_shape_invariance(params: dict) -> list[dict]:
             passed=ok,
         ))
     for l in range(1, 6):
-        ok = all(
-            susy_core.si_level_energy(l, n)
-            == l * l + spectra.poschl_teller_energy(l, n)
-            for n in range(l)
-        )
+        well = PoschlTeller(l)
+        ok = all(susy_core.si_level_energy(l, n) == l * l + well.energy(n)
+                 for n in well.levels())
         out.append(check(f"si-chain-energies-l-{l}", passed=ok))
     return out
 
@@ -366,12 +368,11 @@ def checks_ladder(params: dict) -> list[dict]:
     l_max = params["l_max"]
     out = []
     for l in range(1, l_max + 1):
+        well = PoschlTeller(l)
         waves = [ladder_chain(l, n) for n in range(l + 1)]  # n = l is the edge state
         residuals_ok = all(
-            eigen_residual_symbolic(
-                waves[n], PoschlTeller(l), spectra.poschl_teller_energy(l, n),
-            ).is_zero
-            for n in range(l)
+            eigen_residual_symbolic(waves[n], well, well.energy(n)).is_zero
+            for n in well.levels()
         )
         out.append(check(f"ladder-residuals-l-{l}", passed=residuals_ok))
         degree_parity_ok = all(
@@ -507,17 +508,17 @@ def checks_spectra(params: dict) -> list[dict]:
         out.append(check(f"tilted-below-edge-{n_prime}-{b}", provenance="closed-form",
                          passed=all(e < fam.continuum_edge for e in exact)))
     shift_ok = all(
-        spectra.rosen_morse_energy(n_prime, 0, n)
-        == n_prime * (n_prime + 1) + spectra.poschl_teller_energy(n_prime, n)
+        RosenMorseII(n_prime).energy(n)
+        == n_prime * (n_prime + 1) + PoschlTeller(n_prime).energy(n)
         for n_prime in (Fraction(2), Fraction(3), Fraction(7, 2))
-        for n in range(math.ceil(n_prime))
+        for n in PoschlTeller(n_prime).levels()
     )
     out.append(check("tilted-reduces-to-sech-shift", passed=shift_ok))
     for p, q in ((2, Fraction(3, 2)), (0, Fraction(3, 2)), (1, Fraction(2)),
                  (3, Fraction(5, 2))):
         red = spectra.gegenbauer_spectrum(p, q)
-        ok = (p in spectra.poschl_teller_levels(red.n_prime)
-              and red.target_energy == -(red.m_prime ** 2)
+        well = PoschlTeller(red.n_prime)
+        ok = (p in well.levels() and red.target_energy == well.energy(p)
               and red.reflectionless == (red.n_prime.denominator == 1))
         out.append(check(f"ultraspherical-target-p-{p}-q-{q}", provenance="closed-form",
                          passed=ok))
@@ -598,19 +599,13 @@ def _spectrum_rows(fam: PoschlTeller | RosenMorseII) -> list[dict]:
 
 
 def run_spectrum(params: dict) -> dict:
-    if params["family"] != "gegenbauer":
-        return {"entries": _spectrum_rows(_family(params))}
-    if "p" not in params or "q" not in params:
-        raise UsageError("--p and --q are required for the ultraspherical family")
-    red = spectra.gegenbauer_spectrum(params["p"], params["q"])
-    return {
-        "entries": _spectrum_rows(PoschlTeller(red.n_prime)),
-        "n_prime": str(red.n_prime),
-        "m_prime": str(red.m_prime),
-        "target_level": params["p"],
-        "target_energy": float(red.target_energy),
-        "reflectionless": red.reflectionless,
-    }
+    body = {"entries": _spectrum_rows(_family(params))}
+    if params["family"] == "gegenbauer":
+        red = spectra.gegenbauer_spectrum(params["p"], params["q"])
+        body.update(n_prime=str(red.n_prime), m_prime=str(red.m_prime),
+                    target_level=params["p"], target_energy=float(red.target_energy),
+                    reflectionless=red.reflectionless)
+    return body
 
 
 def run_eigenfunction(params: dict) -> dict:
@@ -770,33 +765,43 @@ def render_json(report: dict) -> str:
     return buf.getvalue()
 
 
+def _spectrum_table(report: dict):
+    yield ["n", "energy", "kind"]
+    for entry in report["entries"]:
+        yield [entry["n"], repr(entry["energy"]), entry["kind"]]
+
+
+def _oracle_table(report: dict):
+    yield ["n", "fd_energy", "closed_form", "abs_error"]
+    for row in report["levels"]:
+        yield [row["n"], *("" if row[key] is None else repr(row[key])
+                           for key in ("fd_energy", "closed_form", "abs_error"))]
+
+
+def _verify_table(report: dict):
+    yield ["section", "id", "computed", "expected", "tolerance", "provenance", "pass"]
+    for name, section in report["sections"].items():
+        for c in section:
+            yield [name, c["id"], c["computed"], c["expected"], c["tolerance"],
+                   c["provenance"], c["pass"]]
+
+
+# the subcommands with a table; parse_command rejects --format csv for the others
+CSV_TABLES = {"spectrum": _spectrum_table, "oracle": _oracle_table, "verify": _verify_table}
+
+
 def render_csv(report: dict) -> str:
-    """Tabular rendering for spectrum/oracle/verify runs; parameters echoed as comments."""
+    """Tabular rendering of a report; parameters echoed as comments."""
     buf = io.StringIO()
     for key, value in report["parameters"].items():
         buf.write(f"# {key} = {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    if report["command"] == "spectrum":
-        writer.writerow(["n", "energy", "kind"])
-        for entry in report["entries"]:
-            writer.writerow([entry["n"], repr(entry["energy"]), entry["kind"]])
-    elif report["command"] == "oracle":
-        writer.writerow(["n", "fd_energy", "closed_form", "abs_error"])
-        for row in report["levels"]:
-            writer.writerow([row["n"], *("" if row[key] is None else repr(row[key])
-                                         for key in ("fd_energy", "closed_form", "abs_error"))])
-    elif "sections" in report:
-        writer.writerow(["section", "id", "computed", "expected", "tolerance",
-                         "provenance", "pass"])
-        for name, section in report["sections"].items():
-            for c in section:
-                writer.writerow([name, c["id"], c["computed"], c["expected"],
-                                 c["tolerance"], c["provenance"], c["pass"]])
-    else:
-        raise UsageError(f"csv output is not defined for {report['command']!r}")
+    csv.writer(buf, lineterminator="\n").writerows(CSV_TABLES[report["command"]](report))
     return buf.getvalue()
 
 
+# an overflow leaves NaN or inf, which the guards turn into the one stderr
+# line; numpy's own RuntimeWarnings would add lines before it
+@np.errstate(all="ignore")
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every failure ends as one stderr line and an exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)

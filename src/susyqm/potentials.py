@@ -9,13 +9,15 @@ Both wells are shape invariant and answer to one interface: tanh_poly() and
 values() give V, asymptotes and continuum_edge its tails, levels(), energy(n)
 and eigenfunction(n) the closed forms of its bound states, threshold_level the
 zero-energy edge state of an integer-depth sech well, and fd_ceiling the
-energy below which the finite-difference oracle counts bound levels.  The
-log-deformed zero-energy family has no level-independent potential, so it is
-no family here; spectra.gamma_deformed_residual verifies it level by level.
+energy below which the finite-difference oracle counts bound levels.  Each
+class is the only home of its well's admissibility, levels and exact energies.
+The log-deformed zero-energy family has no level-independent potential, so it
+is no family here; spectra.gamma_deformed_residual verifies it level by level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +59,8 @@ class PoschlTeller:
         return -1e-6
 
     def levels(self) -> range:
-        return spectra.poschl_teller_levels(self.l)
+        """Bound level indices n = 0 .. ceil(l) - 1."""
+        return range(math.ceil(self.l))
 
     @property
     def threshold_level(self) -> int | None:
@@ -66,7 +69,8 @@ class PoschlTeller:
         return int(self.l) if self.l > 0 and self.l.denominator == 1 else None
 
     def energy(self, n: int) -> Fraction:
-        return spectra.poschl_teller_energy(self.l, n)
+        """Exact E_n = -(l - n)^2."""
+        return -((self.l - n) ** 2)
 
     def eigenfunction(self, n: int) -> HypWave:
         """Level n from the ladder chain; n = l is the integer-l threshold state."""
@@ -113,17 +117,31 @@ class RosenMorseII:
         return self.continuum_edge - 1e-9
 
     def levels(self) -> range:
-        return spectra.rosen_morse_levels(self.n_prime, self.B)
+        """Admitted level indices: n < n' and (n'-n)^2 > |B| (normalizable decay).
+
+        (n'-n)^2 falls as n rises to n', so the admitted levels are 0 .. count - 1;
+        count is found by bisection, without listing the levels.
+        """
+        lo, hi = 0, math.ceil(self.n_prime)  # level lo is admitted (|B| < n'^2); hi is not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (self.n_prime - mid) ** 2 > abs(self.B):
+                lo = mid
+            else:
+                hi = mid
+        return range(hi)
 
     @property
     def threshold_level(self) -> None:
         return None
 
     def energy(self, n: int) -> Fraction:
-        return spectra.rosen_morse_energy(self.n_prime, self.B, n)
+        """Exact E_n = n'(n'+1) - (n'-n)^2 - B^2/(n'-n)^2."""
+        s = self.n_prime - n
+        return self.n_prime * (self.n_prime + 1) - s * s - self.B * self.B / (s * s)
 
     def eigenfunction(self, n: int) -> HypWave:
-        return spectra.rosen_morse_eigenfunction(self.n_prime, self.B, n)
+        return spectra.rosen_morse_eigenfunction(self, n)
 
 
 PotentialFamily = PoschlTeller | RosenMorseII

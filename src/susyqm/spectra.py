@@ -1,27 +1,13 @@
-"""Closed-form spectra and eigenfunctions for the three solvable families.
+"""Closed forms built on the wells of potentials.
 
-Level energies:
-
-  sech well (depth l):     E_n = -(l - n)^2 for n = 0 .. ceil(l) - 1, plus a
-                           zero-energy threshold level n = l when l is a positive integer
-                           (bounded but non-normalizable, never counted as bound).
-  tanh-tilted well:        E_n = n'(n'+1) - (n'-n)^2 - B^2/(n'-n)^2 on levels
-                           with n < n' and (n'-n)^2 > |B| (both decay exponents
-                           positive); always below the edge n'(n'+1) - 2|B|.
-  ultraspherical tower:    delegates to the sech well with n' = p + q - 1/2;
-                           level n = p carries E = -(q - 1/2)^2.
-
-Eigenfunctions of the tanh-tilted well, with s = n' - n and r = B/s:
-
-  v_n = (1-t)^((s-r)/2) (1+t)^((s+r)/2) P_n^(s-r, s+r)(t),  t = tanh z,
-
-which makes the symbolic residual against V = n'(n'+1) tanh^2 z - 2B tanh z
-vanish identically at E_n (the decay rates s -+ r match the two asymptotes).
+The family classes in potentials own each well's admissibility, levels and
+energies.  This module holds the tanh-tilted eigenfunction, the
+ultraspherical reduction to the sech well and the zero-energy residual of the
+log-deformed family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -32,13 +18,13 @@ from .coordinate_maps import ChartDomainError, GAMMA_SWITCH
 from .orthopoly import jacobi_poly, jacobi_values
 from .tanh_algebra import HypWave, as_fraction
 
-if TYPE_CHECKING:  # fd_oracle imports potentials, which imports this module
+if TYPE_CHECKING:  # fd_oracle and potentials import this module
     from .fd_oracle import Grid
+    from .potentials import RosenMorseII
 
 __all__ = [
-    "GegenbauerReduction", "poschl_teller_energy", "poschl_teller_levels",
-    "rosen_morse_energy", "rosen_morse_levels", "rosen_morse_eigenfunction",
-    "gegenbauer_spectrum", "gamma_deformed_residual",
+    "GegenbauerReduction", "rosen_morse_eigenfunction", "gegenbauer_spectrum",
+    "gamma_deformed_residual",
 ]
 
 
@@ -53,67 +39,22 @@ class GegenbauerReduction:
     reflectionless: bool
 
 
-def poschl_teller_energy(l, n: int) -> Fraction:
-    """Exact E_n = -(l - n)^2 of the depth-l sech well."""
-    lf = as_fraction(l)
-    return -((lf - n) ** 2)
+def rosen_morse_eigenfunction(fam: RosenMorseII, n: int) -> HypWave:
+    """Closed-form level n of the tanh-tilted well fam (unnormalized).
 
-
-def poschl_teller_levels(l) -> range:
-    """Bound level indices n = 0 .. ceil(l) - 1 of the depth-l sech well."""
-    return range(math.ceil(as_fraction(l)))
-
-
-def _validated_rm(n_prime, B) -> tuple[Fraction, Fraction]:
-    np_ = as_fraction(n_prime)
-    bf = as_fraction(B)
-    if np_ <= 0:
-        raise ValueError(f"n' must be positive, got {np_}")
-    if abs(bf) >= np_ ** 2:
-        raise ValueError(f"|B| = {abs(bf)} must be below n'^2 = {np_ ** 2}")
-    return np_, bf
-
-
-def rosen_morse_energy(n_prime, B, n: int) -> Fraction:
-    """Exact E_n = n'(n'+1) - (n'-n)^2 - B^2/(n'-n)^2 of the tanh-tilted well."""
-    np_ = as_fraction(n_prime)
-    bf = as_fraction(B)
-    s = np_ - n
-    return np_ * (np_ + 1) - s * s - bf * bf / (s * s)
-
-
-def rosen_morse_levels(n_prime, B) -> range:
-    """Admitted level indices: n < n' and (n'-n)^2 > |B| (normalizable decay).
-
-    (n'-n)^2 falls as n rises to n', so the admitted levels are 0 .. count - 1;
-    count is found by bisection, without listing the levels.
+    With s = n' - n, r = B/s and t = tanh z the wave is
+    (1-t)^((s-r)/2) (1+t)^((s+r)/2) P_n^(s-r, s+r)(t), whose symbolic residual
+    against V vanishes identically at E_n (the decay rates s -+ r match the two
+    asymptotes); admission requires both exponents positive, i.e. n in
+    fam.levels().
     """
-    np_, bf = _validated_rm(n_prime, B)
-    lo, hi = 0, math.ceil(np_)  # level lo is admitted (|B| < n'^2); level hi is not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (np_ - mid) ** 2 > abs(bf):
-            lo = mid
-        else:
-            hi = mid
-    return range(hi)
-
-
-def rosen_morse_eigenfunction(n_prime, B, n: int) -> HypWave:
-    """Closed-form level n of the tanh-tilted well (unnormalized).
-
-    With s = n' - n and r = B/s the wave is
-    (1-t)^((s-r)/2) (1+t)^((s+r)/2) P_n^(s-r, s+r)(t); admission requires both
-    exponents positive, i.e. (n'-n)^2 > |B|.
-    """
-    np_, bf = _validated_rm(n_prime, B)
     n = int(n)
-    if n not in rosen_morse_levels(np_, bf):
+    if n not in fam.levels():
         raise ValueError(
-            f"level n = {n} is not a bound state of (n', B) = ({np_}, {bf})"
+            f"level n = {n} is not a bound state of (n', B) = ({fam.n_prime}, {fam.B})"
         )
-    s = np_ - n
-    r = bf / s
+    s = fam.n_prime - n
+    r = fam.B / s
     return HypWave((s - r) / 2, (s + r) / 2, jacobi_poly(n, s - r, s + r))
 
 
@@ -130,11 +71,12 @@ def gegenbauer_spectrum(p: int, q) -> GegenbauerReduction:
     qf = as_fraction(q)
     if qf <= Fraction(1, 2):
         raise ValueError(f"need q > 1/2 for a decaying target state, got {qf}")
-    n_prime = p + qf - Fraction(1, 2)
+    m_prime = qf - Fraction(1, 2)
+    n_prime = p + m_prime
     return GegenbauerReduction(
         n_prime=n_prime,
-        m_prime=qf - Fraction(1, 2),
-        target_energy=poschl_teller_energy(n_prime, p),
+        m_prime=m_prime,
+        target_energy=-(m_prime ** 2),
         reflectionless=(n_prime.denominator == 1),
     )
 

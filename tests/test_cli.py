@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -126,6 +128,23 @@ def test_scatter_overflowing_amplitude_exits_3(k, capsys):
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l", "2", "--k", "1e300"],
+    ["--l", "2", "--k", "1e154"],
+    ["--family", "rosen-morse", "--nprime", "2", "--k", "1e200"],
+], ids=["sech-1e300", "sech-1e154", "tilted-1e200"])
+def test_huge_wavenumber_exits_3_with_one_stderr_line(argv):
+    # a subprocess sees numpy's RuntimeWarnings, which pytest would record apart
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(CONFIG_ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-m", "susyqm", "scatter", *argv],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure in 'scatter'")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("half_width", ["nan", "0", "-5", "inf"])
@@ -257,6 +276,35 @@ def test_flag_the_subcommand_does_not_read_exits_2(base, flag, capsys):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--family", "poschl-teller", "--l", "2", "--tol", "nan"],
+    ["oracle", "--family", "poschl-teller", "--l", "2", "--tol=-1"],
+    ["oracle", "--family", "poschl-teller", "--l", "2", "--tol", "inf"],
+    ["verify", "spectra", "--tol", "nan"],
+    ["verify", "maps", "--tol=-1"],
+    ["deformed", "--alpha", "1", "--beta", "2", "--tol", "nan"],
+])
+def test_bad_tolerance_exits_2(argv, capsys):
+    with pytest.raises(cli.UsageError, match="tol must be finite and nonnegative"):
+        parse_command(argv)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_config_bad_tolerance_exits_2(value, tmp_path, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text(f"tol = {value}\n")
+    code, out, err = run(["verify", "maps", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must be") and err.count("\n") == 1
+
+
+def test_zero_tolerance_is_accepted():
+    assert parse_command(["verify", "maps", "--tol", "0"]).parameters["tol"] == 0.0
+
+
 OVERSIZED = [
     (["spectrum", "--family", "poschl-teller", "--l", "1e15"], "1e+15 levels"),
     (["spectrum", "--family", "rosen-morse", "--nprime", "1e15"], "1e+15 levels"),
@@ -307,6 +355,13 @@ def test_oversized_request_exits_2_without_allocating(argv, size_text, capsys):
     _assert_oversized_rejected(argv, size_text, capsys)
 
 
+def test_gegenbauer_size_cap_counts_the_printed_levels(capsys):
+    # q = 3/2 gives the sech well n' = p + 1, with p + 1 bound levels
+    argv = ["spectrum", "--family", "gegenbauer", "--q", "3/2"]
+    assert parse_command([*argv, "--p", "1999999"]).parameters["p"] == 1999999
+    _assert_oversized_rejected([*argv, "--p", "2000000"], "2e+06 levels", capsys)
+
+
 @pytest.mark.parametrize("argv", SCATTER_STEP_1E_12)
 def test_tiny_scatter_step_exits_2_without_allocating(argv, tmp_path, capsys):
     cfg = tmp_path / "susyqm.conf"
@@ -339,31 +394,57 @@ def test_defaults_stay_far_below_size_cap(argv):
 
 fuzz_rationals = st.builds(lambda num, den: str(Fraction(num, den)),
                            st.integers(-300, 300), st.integers(1, 4))
+fuzz_family = st.builds(
+    lambda family, l, nprime, b: ["--family", family, f"--l={l}", f"--nprime={nprime}",
+                                  f"--B={b}"],
+    st.sampled_from(["poschl-teller", "rosen-morse"]), fuzz_rationals, fuzz_rationals,
+    fuzz_rationals)
+# alpha, beta on quarter steps keep every deformed default grid small
+fuzz_quarters = st.integers(-8, 16).map(lambda i: i / 4)
+fuzz_argv = st.one_of(
+    fuzz_family.map(lambda fam: ["spectrum", *fam]),
+    st.builds(lambda fam, n, z: ["eigenfunction", *fam, f"--n={n}", f"--z={z!r}"],
+              fuzz_family, st.integers(0, 60), st.floats(-30.0, 30.0)),
+    st.builds(lambda fam, k: ["scatter", *fam, f"--k={k!r}"], fuzz_family, st.floats()),
+    fuzz_family.map(lambda fam: ["oracle", *fam]),
+    st.builds(lambda a, b, n: ["deformed", f"--alpha={a!r}", f"--beta={b!r}", f"--n={n}"],
+              fuzz_quarters, fuzz_quarters, st.integers(0, 60)),
+    st.builds(lambda gamma, z: ["map", f"--gamma={gamma!r}", f"--z={z!r}"],
+              st.floats(), st.floats()),
+)
+PT = ["--family", "poschl-teller"]
 
 
-@given(sub=st.sampled_from(["spectrum", "eigenfunction"]),
-       family=st.sampled_from(["poschl-teller", "rosen-morse"]),
-       l=fuzz_rationals, nprime=fuzz_rationals, b=fuzz_rationals,
-       n=st.integers(0, 60), z=st.floats(-30.0, 30.0), config=st.none())
-@example(sub="spectrum", family="poschl-teller", l="-3", nprime="1", b="0", n=0, z=0.0,
-         config=None)
-@example(sub="spectrum", family="poschl-teller", l="1", nprime="1", b="0", n=0, z=0.0,
-         config="grid_points = abc\n")
-@example(sub="spectrum", family="poschl-teller", l="1e400", nprime="1", b="0", n=0,
-         z=0.0, config=None)
-@example(sub="eigenfunction", family="poschl-teller", l="200", nprime="1", b="0", n=199,
-         z=0.0, config=None)
-@settings(max_examples=40, deadline=None)
-def test_exit_code_contract_fuzz(sub, family, l, nprime, b, n, z, config,
-                                 tmp_path_factory):
-    argv = [sub, "--family", family, f"--l={l}", f"--nprime={nprime}", f"--B={b}"]
-    if sub == "eigenfunction":
-        argv += [f"--n={n}", f"--z={z!r}"]
+fuzz_config = st.none() | st.sampled_from([
+    "format = csv\n", "tol = nan\n", "tol = -1\n", "grid_points = abc\n", "grid_points = 5\n",
+    "scatter_step = 1e-12\n", "scatter_half_width = inf\n",
+])
+
+
+@given(argv=fuzz_argv, config=fuzz_config)
+@example(argv=["spectrum", *PT, "--l=-3"], config=None)
+@example(argv=["spectrum", *PT, "--l=1"], config="grid_points = abc\n")
+@example(argv=["spectrum", *PT, "--l=1e400"], config=None)
+@example(argv=["eigenfunction", *PT, "--l=200", "--n=199", "--z=0.0"], config=None)
+# numpy overflow warnings of the RK4 march must not reach stderr
+@example(argv=["scatter", *PT, "--l=2", "--k=1e300"], config=None)
+@example(argv=["scatter", *PT, "--l=2", "--k=1e154"], config=None)
+@example(argv=["scatter", "--family", "rosen-morse", "--nprime=2", "--k=1e200"], config=None)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_exit_code_contract_fuzz(argv, config, tmp_path_factory):
     if config is not None:
         path = tmp_path_factory.mktemp("config") / "susyqm.conf"
         path.write_text(config)
-        argv += ["--config", str(path)]
-    assert main(argv) in (0, 1, 2, 3)
+        argv = [*argv, "--config", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_spectrum_exits_0(capsys):
@@ -592,10 +673,30 @@ def test_verify_csv_rendering(capsys):
     assert header == ["section,id,computed,expected,tolerance,provenance,pass"]
 
 
-def test_csv_unsupported_subcommand_exits_2(capsys):
-    code, _, err = run(["map", "--gamma", "1", "--z", "0.5", "--format", "csv"],
-                       capsys)
-    assert code == 2 and "csv output is not defined" in err
+@pytest.mark.parametrize("argv", [
+    ["map", "--gamma", "1", "--z", "0.5"],
+    ["eigenfunction", "--family", "poschl-teller", "--l", "2", "--n", "0"],
+    ["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
+    ["deformed", "--alpha", "1", "--beta", "2"],
+])
+def test_csv_unsupported_subcommand_exits_2(argv, monkeypatch, capsys):
+    # rejected while parsing: the runner (two RK4 marches for scatter) never starts
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, argv[0], calls.append)
+    code, out, err = run([*argv, "--format", "csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: csv output is not defined for {argv[0]!r}\n"
+    assert calls == []
+
+
+def test_csv_from_config_is_rejected_before_running(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("format = csv\n")
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, "scatter", calls.append)
+    code, _, err = run(["scatter", "--l", "2", "--k", "1", "--config", str(cfg)], capsys)
+    assert code == 2 and err == "error: csv output is not defined for 'scatter'\n"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

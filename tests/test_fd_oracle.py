@@ -10,7 +10,7 @@ import pytest
 from susyqm import (
     Grid, NumericalError, PoschlTeller, RosenMorseII,
     TanhPoly, TridiagonalOperator, bound_state_eigenvalues, discretize, fd_oracle,
-    poschl_teller_energy, potential_values, rosen_morse_levels, scattering_amplitudes,
+    potential_values, scattering_amplitudes,
     sech_well_reflection_exact,
 )
 
@@ -247,7 +247,7 @@ def test_grid_convergence_is_second_order():
         evs = bound_state_eigenvalues(
             discretize(PoschlTeller(2), Grid(-12.0, 12.0, points)),
             below=-1e-6, max_count=3)
-        errors[points] = [abs(ev - float(poschl_teller_energy(2, n)))
+        errors[points] = [abs(ev - float(PoschlTeller(2).energy(n)))
                           for n, ev in enumerate(evs)]
     for coarse, fine in zip(errors[1001], errors[2001]):
         assert 3.0 <= coarse / fine <= 5.0

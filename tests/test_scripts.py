@@ -1,5 +1,8 @@
 import csv
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -67,6 +70,19 @@ def test_reflection_scan_overflow_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("numerical failure")
+
+
+def test_reflection_scan_huge_wavenumber_exits_3_with_one_stderr_line(tmp_path):
+    # a subprocess sees numpy's RuntimeWarnings, which pytest would record apart
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reflection_scan.py"), "--k", "1e300",
+         "--out", str(tmp_path / "scan.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=False)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv,rows", [

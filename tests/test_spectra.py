@@ -8,9 +8,7 @@ import hypothesis.strategies as st
 from susyqm import (
     ChartDomainError, Grid, HypWave, PoschlTeller, RosenMorseII, TanhPoly,
     eigen_residual_symbolic, gamma_deformed_residual, gegenbauer_spectrum,
-    ladder_chain, poschl_teller_energy, poschl_teller_levels,
-    proportionality_constant, rosen_morse_eigenfunction, rosen_morse_energy,
-    rosen_morse_levels,
+    ladder_chain, proportionality_constant,
 )
 from susyqm.cli import run_spectrum
 
@@ -54,7 +52,6 @@ def test_pt_spectrum_empty_for_nonpositive_depth():
     fam = PoschlTeller(0)
     assert list(fam.levels()) == [] and fam.threshold_level is None
     assert spectrum_rows(family="poschl-teller", l=Fraction(0)) == []
-    assert list(poschl_teller_levels(Fraction(-3, 2))) == []
 
 
 @given(l=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(8),
@@ -94,8 +91,8 @@ def test_rm_preconditions():
 def test_rm_reduces_to_shifted_sech_tower():
     for n_prime in (Fraction(2), Fraction(3), Fraction(7, 2)):
         for n in range(math.ceil(n_prime)):
-            assert rosen_morse_energy(n_prime, 0, n) \
-                == n_prime * (n_prime + 1) + poschl_teller_energy(n_prime, n)
+            assert RosenMorseII(n_prime).energy(n) \
+                == n_prime * (n_prime + 1) + PoschlTeller(n_prime).energy(n)
 
 
 @given(n_prime=st.fractions(min_value=1, max_value=6, max_denominator=4),
@@ -115,8 +112,8 @@ def test_rm_spectrum_properties(n_prime, B):
 
 
 def test_rm_eigenfunction_examples():
-    assert rosen_morse_eigenfunction(2, 0, 0) == HypWave.sech_power(2)
-    w = rosen_morse_eigenfunction(2, HALF, 0)
+    assert RosenMorseII(2, 0).eigenfunction(0) == HypWave.sech_power(2)
+    w = RosenMorseII(2, HALF).eigenfunction(0)
     # decay exponents (s -+ r)/2 with s = 2, r = 1/4: weaker decay on the
     # side the tanh tilt pushes the state toward
     assert (w.a, w.b) == (Fraction(7, 8), Fraction(9, 8))
@@ -127,13 +124,13 @@ def test_rm_eigenfunction_matches_ladder_at_b_zero():
     for n_prime in (2, 3):
         for n in range(n_prime):
             c = proportionality_constant(
-                rosen_morse_eigenfunction(n_prime, 0, n), ladder_chain(n_prime, n))
+                RosenMorseII(n_prime, 0).eigenfunction(n), ladder_chain(n_prime, n))
             assert c != 0
 
 
 def test_rm_eigenfunction_rejects_filtered_levels():
     with pytest.raises(ValueError):
-        rosen_morse_eigenfunction(2, 1, 1)  # (n'-1)^2 = 1 not > 1
+        RosenMorseII(2, 1).eigenfunction(1)  # (n'-1)^2 = 1 not > 1
 
 
 @pytest.mark.parametrize("n_prime,B", [
@@ -142,10 +139,10 @@ def test_rm_eigenfunction_rejects_filtered_levels():
 ])
 def test_rm_eigenpairs_have_zero_symbolic_residual(n_prime, B):
     fam = RosenMorseII(n_prime, B)
-    for n in rosen_morse_levels(n_prime, B):
-        w = rosen_morse_eigenfunction(n_prime, B, n)
+    for n in fam.levels():
+        w = fam.eigenfunction(n)
         assert w.a > 0 and w.b > 0  # decays at both ends
-        assert eigen_residual_symbolic(w, fam, rosen_morse_energy(n_prime, B, n)).is_zero
+        assert eigen_residual_symbolic(w, fam, fam.energy(n)).is_zero
 
 
 @given(n_prime=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(40),
@@ -158,13 +155,13 @@ def test_rm_levels_match_enumeration(n_prime, b_share):
     if abs(B) >= n_prime ** 2:
         return
     admitted = [n for n in range(math.ceil(n_prime)) if (n_prime - n) ** 2 > abs(B)]
-    assert list(rosen_morse_levels(n_prime, B)) == admitted
+    assert list(RosenMorseII(n_prime, B).levels()) == admitted
 
 
 def test_level_ranges_are_not_listed():
-    assert len(rosen_morse_levels(10 ** 15, 0)) == 10 ** 15
-    assert len(rosen_morse_levels(10 ** 15, 10 ** 28)) == 10 ** 15 - 10 ** 14
-    assert poschl_teller_levels(Fraction(10 ** 15) + HALF)[-1] == 10 ** 15
+    assert len(RosenMorseII(10 ** 15, 0).levels()) == 10 ** 15
+    assert len(RosenMorseII(10 ** 15, 10 ** 28).levels()) == 10 ** 15 - 10 ** 14
+    assert PoschlTeller(Fraction(10 ** 15) + HALF).levels()[-1] == 10 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +171,11 @@ def test_level_ranges_are_not_listed():
 def test_gegenbauer_spectrum_examples():
     red = gegenbauer_spectrum(2, Fraction(3, 2))
     assert red.n_prime == 3 and red.m_prime == 1
-    assert 2 in poschl_teller_levels(red.n_prime) and red.target_energy == -1
+    assert 2 in PoschlTeller(red.n_prime).levels() and red.target_energy == -1
     assert red.reflectionless
 
     red = gegenbauer_spectrum(0, Fraction(3, 2))
-    assert 0 in poschl_teller_levels(red.n_prime) and red.target_energy == -1
+    assert 0 in PoschlTeller(red.n_prime).levels() and red.target_energy == -1
 
     red = gegenbauer_spectrum(1, 2)
     assert red.n_prime == Fraction(5, 2) and red.m_prime == Fraction(3, 2)
@@ -191,7 +188,7 @@ def test_gegenbauer_spectrum_delegates_to_sech_tower():
     report = run_spectrum({"family": "gegenbauer", "p": 3, "q": Fraction(5, 2)})
     assert report["entries"] \
         == run_spectrum({"family": "poschl-teller", "l": red.n_prime})["entries"]
-    assert red.target_energy == poschl_teller_energy(red.n_prime, 3) == -(red.m_prime ** 2)
+    assert red.target_energy == PoschlTeller(red.n_prime).energy(3) == -(red.m_prime ** 2)
     assert (report["target_level"], report["target_energy"]) == (3, -float(red.m_prime ** 2))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from conftest import rationals
 from susyqm import (
     ClosedFormSuperpotential, Grid, TanhPoly, annihilation_check,
-    partner_potentials, poschl_teller_energy, riccati_residual,
+    PoschlTeller, partner_potentials, riccati_residual,
     shape_invariance_remainder, si_level_energy,
 )
 
@@ -79,7 +79,7 @@ def test_shape_invariance_for_all_rational_k(k):
 def test_si_recursion_reproduces_shifted_tower():
     for k in range(1, 8):
         for n in range(k):
-            assert si_level_energy(k, n) == k * k + poschl_teller_energy(k, n)
+            assert si_level_energy(k, n) == k * k + PoschlTeller(k).energy(n)
 
 
 def test_annihilation():

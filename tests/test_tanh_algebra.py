@@ -13,7 +13,6 @@ from conftest import hyp_waves, nonzero_rationals, rationals, small_exponents, t
 from susyqm import (
     HypWave, PoschlTeller, RosenMorseII, TanhPoly, apply_ladder,
     apply_lowering, eigen_residual_symbolic, eval_wave, ladder_chain,
-    poschl_teller_energy,
 )
 from susyqm.cli import _wave_payload
 from susyqm.tanh_algebra import _d_poly
@@ -307,7 +306,7 @@ def test_residual_rejects_family_without_tanh_form():
 def test_tower_residuals_zero(l):
     for n in range(l):
         w = ladder_chain(l, n)
-        assert eigen_residual_symbolic(w, PoschlTeller(l), poschl_teller_energy(l, n)).is_zero
+        assert eigen_residual_symbolic(w, PoschlTeller(l), PoschlTeller(l).energy(n)).is_zero
 
 
 # ---------------------------------------------------------------------------
