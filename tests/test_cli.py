@@ -673,13 +673,7 @@ def test_verify_csv_rendering(capsys):
     assert header == ["section,id,computed,expected,tolerance,provenance,pass"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["map", "--gamma", "1", "--z", "0.5"],
-    ["eigenfunction", "--family", "poschl-teller", "--l", "2", "--n", "0"],
-    ["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
-    ["deformed", "--alpha", "1", "--beta", "2"],
-])
-def test_csv_unsupported_subcommand_exits_2(argv, monkeypatch, capsys):
+def assert_csv_rejected_before_running(argv, monkeypatch, capsys):
     # rejected while parsing: the runner (two RK4 marches for scatter) never starts
     calls = []
     monkeypatch.setitem(cli.RUNNERS, argv[0], calls.append)
@@ -687,6 +681,20 @@ def test_csv_unsupported_subcommand_exits_2(argv, monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err == f"error: csv output is not defined for {argv[0]!r}\n"
     assert calls == []
+
+
+def test_csv_unsupported_subcommand_exits_2(monkeypatch, capsys):
+    assert_csv_rejected_before_running(["map", "--gamma", "1", "--z", "0.5"],
+                                       monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenfunction", "--family", "poschl-teller", "--l", "2", "--n", "0"],
+    ["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1"],
+    ["deformed", "--alpha", "1", "--beta", "2"],
+])
+def test_csv_unsupported_numeric_subcommand_exits_2(argv, monkeypatch, capsys):
+    assert_csv_rejected_before_running(argv, monkeypatch, capsys)
 
 
 def test_csv_from_config_is_rejected_before_running(tmp_path, monkeypatch, capsys):
