@@ -9,7 +9,11 @@ sweep, a 200-sweep cap that raises when exhausted), and fixed-step classical
 4th-order integration with h = 1e-3 for scattering.  Operators of one size are
 solved as a batch: each sweep counts the shifts of every operator in one row
 loop, and each operator leaves the batch when all of its own brackets have
-converged, so its eigenvalues do not depend on what else is in the batch.  The
+converged, so its eigenvalues do not depend on what else is in the batch.
+The row loop takes the rows in blocks, gathers each block's coefficients once
+per bracket, and checks the pivot floor once per block; it redoes a block row
+by row with the floor only where the floor would have fired, so the pivots
+are those of the plain row-by-row recurrence bit for bit.  The
 scattering equation is linear, so each RK4 step is a real 2x2 matrix M; the
 march is their ordered product, formed chunk by chunk with a pairwise
 (log-depth) reduction on four flat arrays that hold the entries of M - I.
@@ -39,6 +43,7 @@ SCATTER_STEP = 1e-3
 FLUX_TOL = 1e-6
 STEP_HALVING_TOL = 1e-7
 MARCH_CHUNK = 16384  # RK4 steps per batch of step matrices; bounds peak memory
+COUNT_BLOCK = 16384  # Sturm pivots per block of rows; bounds the block arrays (128 KB each)
 
 
 class NumericalError(RuntimeError):
@@ -88,10 +93,15 @@ class TridiagonalOperator:
 
 
 def discretize(fam: PotentialFamily, grid: Grid) -> TridiagonalOperator:
-    """Second-order central stencil: diagonal 2/h^2 + V(z_i), off-diagonal -1/h^2."""
-    zs = grid.zs()
-    v = potential_values(fam, zs)
-    inv_h2 = 1.0 / grid.h ** 2
+    """Second-order central stencil: diagonal 2/h^2 + V(z_i), off-diagonal -1/h^2.
+
+    A spacing so fine that 1/h^2 is not a finite double raises NumericalError.
+    """
+    h2 = grid.h ** 2
+    inv_h2 = 1.0 / h2 if h2 else math.inf
+    if inv_h2 == math.inf:
+        raise NumericalError(f"grid spacing h = {grid.h:.3e} puts 1/h^2 past the double range")
+    v = potential_values(fam, grid.zs())
     return TridiagonalOperator(
         diagonal=2.0 * inv_h2 + v,
         off_diagonal=np.full(grid.points - 1, -inv_h2),
@@ -104,19 +114,53 @@ def _counts_below(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray,
 
     Column k of d (rows x operators) and of e2 (rows - 1 x operators) holds
     the diagonal and the squared off-diagonal of operator k, and pivmin[k] its
-    pivot floor; shift j is counted for operator owner[j].  Each row spreads
-    one short row of d and e2 over the shifts, so no array of rows x shifts
-    is ever formed.
+    pivot floor.  shifts is groups x width (one group per bracket, say), every
+    shift of group g is counted for operator owner[g], and the counts come
+    back in the shape of shifts.  Row i sets each pivot to
+    q_i = (d_i - s) - e2_{i-1} / q_{i-1}, in that order of evaluation, and the
+    pivot floor turns a q_i with |q_i| < pivmin into -pivmin.
+
+    Rows run in blocks of COUNT_BLOCK // shifts.size rows (at least one).  A
+    block gathers its rows of d and e2 once per group, not once per shift,
+    then costs two numpy calls per row.  Row 0 reads e2 = 0 against an entry
+    pivot of inf, and 0 / inf = 0 leaves d_0 - s as it is.
+
+    The floor is checked once per block: the block runs without it, and if
+    every |q| in it is at least the largest floor, the floor would have
+    changed no pivot, so these are the floored pivots bit for bit.  If not,
+    and also if the block holds a NaN, the block runs again from its entry
+    pivots with the floor applied row by row.  Either way every pivot, and so
+    every count, is that of the floored recurrence run one row at a time.
     """
-    piv = pivmin.take(owner)
-    neg_piv = -piv
-    q = d[0].take(owner) - shifts
-    q = np.where(np.abs(q) < piv, neg_piv, q)
-    counts = (q < 0).astype(np.int64)
-    for i in range(1, d.shape[0]):
-        q = d[i].take(owner) - shifts - e2[i - 1].take(owner) / q
-        q = np.where(np.abs(q) < piv, neg_piv, q)
-        counts += q < 0
+    rows = d.shape[0]
+    piv = pivmin.take(owner)[:, None]
+    neg_piv, piv_max = -piv, piv.max()
+    e2 = np.concatenate((np.zeros((1, e2.shape[1])), e2))  # row 0 reads 0 / inf = 0
+    step = max(1, COUNT_BLOCK // shifts.size)
+    qs = np.empty((min(step, rows), *shifts.shape))
+    tmp = np.empty(shifts.shape)
+    entry = np.full(shifts.shape, np.inf)
+    counts = np.zeros(shifts.shape, np.int64)
+    for b0 in range(0, rows, step):
+        b1 = min(b0 + step, rows)
+        a = d[b0:b1].take(owner, axis=1)[:, :, None] - shifts
+        c = e2[b0:b1].take(owner, axis=1)[:, :, None]
+        block = qs[:b1 - b0]
+        for guarded in (False, True):
+            # a pass without the floor may divide by a zero pivot, and is then
+            # redone: its warnings are not the recurrence's
+            quiet = None if guarded else "ignore"
+            with np.errstate(divide=quiet, over=quiet, invalid=quiet):
+                q = entry
+                for a_i, c_i, q_i in zip(a, c, block):
+                    np.divide(c_i, q, out=tmp)
+                    q = np.subtract(a_i, tmp, out=q_i)
+                    if guarded:
+                        np.copyto(q, neg_piv, where=np.abs(q) < piv)
+            if guarded or np.abs(block).min() >= piv_max:
+                break
+        counts += (block < 0).sum(axis=0)
+        entry[...] = block[-1]
     return counts
 
 
@@ -184,9 +228,7 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
     # per live operator: its shifts in [lower, upper], then its ceiling
     first_shifts = np.concatenate((lo[:, None] + (hi - lo)[:, None] * fractions,
                                    hi[:, None]), axis=1)
-    first_counts = _counts_below(d, e2, first_shifts.ravel(),
-                                 np.repeat(live, MULTISECTION_SHIFTS + 1),
-                                 pivmin).reshape(live.size, -1)
+    first_counts = _counts_below(d, e2, first_shifts, live, pivmin)
     totals = first_counts[:, -1]
     for k, total in zip(live.tolist(), totals.tolist()):
         _op, below, max_count = requests[k]
@@ -229,9 +271,7 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
         edges[:, 1:-1] = los[:, None] + width[:, None] * fractions
         edges[:, -1] = his
         if sweep:  # the first sweep's counts came with the ceilings
-            counts = _counts_below(d, e2, edges[:, 1:-1].ravel(),
-                                   np.repeat(owner, MULTISECTION_SHIFTS),
-                                   pivmin).reshape(owner.size, -1)
+            counts = _counts_below(d, e2, edges[:, 1:-1], owner, pivmin)
         # the count at hi always reaches the index, so argmax finds a True
         reached = np.concatenate((counts >= wanted, np.ones((owner.size, 1), bool)), axis=1)
         first = np.argmax(reached, axis=1)

@@ -398,6 +398,8 @@ def eval_wave(w: HypWave, z: float) -> float:
     and ^b join as logarithms computed without cancellation, and only the
     final ldexp meets the double range.  The result is 0.0 only when the value is
     zero or underflows, and OverflowError means the value is past the range.
+    So far in a tail that a weight's log is -inf, the value is a 0.0 with the
+    sign of the exact part, and a weight whose exponent is 0 stays 1.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -410,8 +412,14 @@ def eval_wave(w: HypWave, z: float) -> float:
     size = abs(num)
     e = size.bit_length() - den.bit_length() - 64
     m = size // (den << e) if e >= 0 else (size << -e) // den
-    log_minus, log_plus = _log_weights(z)
-    log_weight = float(w.a) * log_minus + float(w.b) * log_plus
+    # an exponent of 0 adds no weight, even where its log is -inf (2|z| past
+    # the double range); any other exponent makes the weight's log infinite there
+    log_weight = sum(x * log for x, log in zip((float(w.a), float(w.b)), _log_weights(z))
+                     if x)
+    if log_weight == -math.inf:
+        return 0.0 if num > 0 else -0.0
+    if log_weight == math.inf:
+        raise OverflowError(f"wave value at z = {z!r} is past the double range")
     k = math.floor(log_weight / _LN2)
     try:
         value = math.ldexp(float(m) * math.exp(log_weight - k * _LN2), e + k)

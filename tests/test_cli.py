@@ -169,6 +169,18 @@ def test_config_zero_scatter_step_exits_2(argv, tmp_path, capsys):
     assert err.count("\n") == 1 and "step must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "spectra", "--grid-min=1e-300", "--grid-max=2e-300"],  # h^2 is 0.0
+    ["verify", "all", "--grid-min=1e-300", "--grid-max=2e-300"],
+    ["oracle", "--family", "poschl-teller", "--l", "2", "--grid-min=0",
+     "--grid-max=2e-157"],  # h^2 = 1e-320, 1/h^2 = inf
+])
+def test_grid_too_fine_for_the_stencil_exits_3(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.count("\n") == 1 and "past the double range" in err, err
+
+
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(["spectrum", "--family", "poschl-teller", "--l", "1",
@@ -447,6 +459,34 @@ def test_exit_code_contract_fuzz(argv, config, tmp_path_factory):
         assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
+# every verify section, with the grid flags drawn from all floats (nan and
+# +-inf included), small check ranges and any tolerance; a flag may be absent
+fuzz_verify_argv = st.builds(
+    lambda section, flags: ["verify", section, *(f"--{key}={value!r}"
+                                                 for key, value in flags.items())],
+    st.sampled_from(cli.VERIFY_SECTIONS + ("all",)),
+    st.fixed_dictionaries({}, optional={
+        "grid-min": st.floats(), "grid-max": st.floats(),
+        "grid-points": st.integers(0, 2001), "tol": st.floats(),
+        "l-max": st.integers(-1, 3), "p-max": st.integers(-1, 3)}))
+
+
+@given(argv=fuzz_verify_argv)
+@example(argv=["verify", "all"])
+@example(argv=["verify", "spectra", "--grid-min=1e-300", "--grid-max=2e-300"])
+@settings(max_examples=80, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_verify_exit_code_contract_fuzz(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 def test_spectrum_exits_0(capsys):
     code, out, _ = run(["spectrum", "--family", "poschl-teller", "--l", "3"], capsys)
     assert code == 0
@@ -513,6 +553,33 @@ def test_spectrum_golden(family, flags, json_sha, csv_sha, capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
+# sha256 of the exact stdout, and the exit code, of finite-difference runs
+# far larger than the 21 levels of `verify spectra`: one operator with 21 or
+# 41 brackets (the l = 40 grid resolves one level too many, so it exits 1), a
+# tilted well, and the eight wells of `verify spectra` on a coarse grid.
+# Taken when the Sturm counts still ran one row at a time with the pivot
+# floor at every row.
+EIGEN_GOLDEN = [
+    ("oracle --family poschl-teller --l 20", 1,
+     "54ca6cdd2aa7428025ca261b39c13f80eb3cb30d755d786761187f7fb32ac2c2"),
+    ("oracle --family poschl-teller --l 40", 1,
+     "1750bc8a2d33a4d8bc397d14353fa112ae2c04b8eb54baefcf6f4030bf400a09"),
+    ("oracle --family rosen-morse --nprime 7/2 --B 3", 0,
+     "badc7e9dd0c1217aeb40d4305ea92e3a956420cdd47a7c8ea164f320d0f8a2df"),
+    ("verify spectra --grid-points 801", 1,
+     "79e4d0293018328543e5f79883f90489aa8aee18b4db18c954414a6a6d61920b"),
+]
+
+
+@pytest.mark.parametrize("command,exit_code,sha", EIGEN_GOLDEN,
+                         ids=[command.replace(" --", "-").replace(" ", "")
+                              for command, _code, _sha in EIGEN_GOLDEN])
+def test_eigen_golden(command, exit_code, sha, capsys):
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 def test_map_report_contents(capsys):
     code, out, _ = run(["map", "--gamma", "2", "--z", "1.5"], capsys)
     assert code == 0
@@ -568,6 +635,26 @@ def test_deep_eigenfunction_value_at_z(family, n, z, value, capsys):
                          capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["wave"]["value_at_z"] == pytest.approx(value, rel=1e-11, abs=0.0)
+
+
+# past |z| ~ 9e307 the log of the small weight is -inf: a decaying wave
+# underflows to a zero with the sign it has in that tail, and the threshold
+# state, whose exponents are 0, keeps the polynomial value it has at z = +-400
+@pytest.mark.parametrize("family,n,z,value", [
+    (["poschl-teller", "--l", "3"], 1, "-1e308", -0.0),
+    (["poschl-teller", "--l", "3"], 1, "1e308", 0.0),
+    (["rosen-morse", "--nprime", "3", "--B", "1"], 1, "-1e308", -0.0),
+    (["rosen-morse", "--nprime", "3", "--B", "1"], 1, "1e308", 0.0),
+    (["poschl-teller", "--l", "3"], 3, "1e308", 6.0),
+    (["poschl-teller", "--l", "3"], 3, "-1e308", -6.0),
+], ids=["sech-3-1-left", "sech-3-1-right", "tilted-3-1-left", "tilted-3-1-right",
+        "sech-threshold-right", "sech-threshold-left"])
+def test_eigenfunction_far_in_a_tail(family, n, z, value, capsys):
+    code, out, err = run(["eigenfunction", "--family", *family, "--n", str(n), f"--z={z}"],
+                         capsys)
+    assert (code, err) == (0, "")
+    got = json.loads(out)["wave"]["value_at_z"]
+    assert (got, math.copysign(1.0, got)) == (value, math.copysign(1.0, value))
 
 
 def test_eigenfunction_rejects_filtered_level(capsys):

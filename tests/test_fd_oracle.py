@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from susyqm import (
     Grid, NumericalError, PoschlTeller, RosenMorseII,
@@ -69,6 +72,12 @@ def test_discretize_tilted_asymptote():
 # Sturm multisection
 
 
+@pytest.mark.parametrize("z_max", [2e-300, 2e-157])
+def test_discretize_rejects_a_spacing_past_the_double_range(z_max):
+    with pytest.raises(NumericalError, match="past the double range"):
+        discretize(PoschlTeller(1), Grid(0.0, z_max, 2001))
+
+
 def test_free_laplacian_has_no_negative_eigenvalues():
     op = discretize(PoschlTeller(0), Grid(-12.0, 12.0, 201))
     assert bound_state_eigenvalues(op, below=-1e-9, max_count=3) == []
@@ -104,9 +113,10 @@ def _reference_counts(op, shifts):
 
 
 def _counts(op, shifts):
+    """Counts of one operator, its shifts as one group."""
     d, e2, pivmin = fd_oracle._stacked([op])
-    return fd_oracle._counts_below(d, e2, np.asarray(shifts, dtype=float),
-                                   np.zeros(len(shifts), np.intp), pivmin).tolist()
+    return fd_oracle._counts_below(d, e2, np.asarray(shifts, dtype=float)[None, :],
+                                   np.zeros(1, np.intp), pivmin)[0].tolist()
 
 
 def test_sturm_count_matches_spectrum():
@@ -236,9 +246,108 @@ def test_counts_below_mixes_operators_per_column():
     # levels: -9, -4, -1 | 26/9, 31/4 below the edge 10 | -25, -16, -9, -4, -1
     shifts = np.array([-2.0, 3.0, -20.0, -100.0, 7.5, -1e-6, -3.0, -0.5, 9.0])
     owner = np.array([0, 1, 2, 0, 1, 2, 2, 0, 1])
-    counts = fd_oracle._counts_below(d, e2, shifts, owner, pivmin)
+    counts = fd_oracle._counts_below(d, e2, shifts[:, None], owner, pivmin)[:, 0]
     assert counts.tolist() == [_reference_counts(ops[k], [x])[0] for k, x in zip(owner, shifts)]
     assert counts.tolist() == [2, 1, 1, 0, 1, 5, 4, 3, 2]
+
+
+def _counts_row_by_row(d, e2, shifts, owner, pivmin):
+    """The Sturm row loop one row at a time, with the pivot floor applied at
+    every row; shift j (flat) belongs to operator owner[j].  The blocked
+    kernel must reproduce these counts exactly."""
+    piv = pivmin.take(owner)
+    neg_piv = -piv
+    q = d[0].take(owner) - shifts
+    q = np.where(np.abs(q) < piv, neg_piv, q)
+    counts = (q < 0).astype(np.int64)
+    for i in range(1, d.shape[0]):
+        q = d[i].take(owner) - shifts - e2[i - 1].take(owner) / q
+        q = np.where(np.abs(q) < piv, neg_piv, q)
+        counts += q < 0
+    return counts
+
+
+def _blocked_against_row_by_row(d, e2, shifts, owner, block_rows):
+    """Counts of the blocked kernel at block_rows rows per block, and of the
+    row-by-row reference on the same flattened shifts."""
+    pivmin = np.maximum(1.0, e2.max(axis=0, initial=0.0)) * 1e-300
+    with mock.patch.object(fd_oracle, "COUNT_BLOCK", block_rows * shifts.size):
+        blocked = fd_oracle._counts_below(d, e2, shifts, owner, pivmin)
+    reference = _counts_row_by_row(d, e2, shifts.ravel(),
+                                   np.repeat(owner, shifts.shape[1]), pivmin)
+    return blocked.ravel().tolist(), reference.tolist()
+
+
+def _plant_zero_pivot(d, e2, shifts, owner, group, row, s):
+    """Make pivot `row` of shift (group, 0) exactly zero: rows row - 1 and row
+    read d - s = 1, coupled by e2 = 1, and cut off from the rows above."""
+    k = owner[group]
+    shifts[group, 0] = s
+    d[row - 1, k] = d[row, k] = s + 1.0
+    e2[row - 1, k] = 1.0
+    if row >= 2:
+        e2[row - 2, k] = 0.0
+
+
+@pytest.mark.parametrize("row,block_rows", [(4, 4), (6, 4), (1, 1), (2, 3), (8, 3)],
+                         ids=["on-boundary", "mid-block", "row-1-own-block",
+                              "mid-first-block", "last-short-block"])
+def test_counts_below_floors_a_zero_pivot_in_any_block_position(row, block_rows):
+    # d - s is -1 except a coupled pair of +1 rows whose second pivot is 0;
+    # e2 is 0 elsewhere, so without the floor the next row reads 0 / 0 = NaN
+    # and no later row counts
+    rows = 10
+    d = np.full((rows, 1), 2.0)
+    e2 = np.zeros((rows - 1, 1))
+    shifts = np.array([[3.0, 100.0]])
+    owner = np.array([0])
+    _plant_zero_pivot(d, e2, shifts, owner, 0, row, 3.0)
+    blocked, reference = _blocked_against_row_by_row(d, e2, shifts, owner, block_rows)
+    assert blocked == reference == [rows - 1, rows]
+
+
+sturm_values = st.floats(-20.0, 20.0) | st.integers(-20, 20).map(float)
+
+
+@st.composite
+def sturm_cases(draw):
+    rows = draw(st.integers(1, 24))
+    n_ops = draw(st.integers(1, 3))
+    groups, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    d = np.array(draw(st.lists(sturm_values, min_size=rows * n_ops,
+                               max_size=rows * n_ops))).reshape(rows, n_ops)
+    e2 = np.array(draw(st.lists(st.floats(0.0, 20.0) | st.integers(0, 2).map(float),
+                                min_size=(rows - 1) * n_ops,
+                                max_size=(rows - 1) * n_ops))).reshape(rows - 1, n_ops)
+    shifts = np.array(draw(st.lists(sturm_values, min_size=groups * width,
+                                    max_size=groups * width))).reshape(groups, width)
+    owner = np.array(draw(st.lists(st.integers(0, n_ops - 1), min_size=groups,
+                                   max_size=groups)), dtype=np.intp)
+    if rows >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            _plant_zero_pivot(d, e2, shifts, owner, draw(st.integers(0, groups - 1)),
+                              draw(st.integers(1, rows - 1)),
+                              float(draw(st.integers(-20, 20))))
+    if draw(st.booleans()):
+        d[draw(st.integers(0, rows - 1)), draw(st.integers(0, n_ops - 1))] = math.nan
+    return d, e2, shifts, owner, draw(st.integers(1, rows + 1))
+
+
+@given(sturm_cases())
+@settings(max_examples=150, deadline=None)
+def test_counts_below_equals_row_by_row_reference(case):
+    blocked, reference = _blocked_against_row_by_row(*case)
+    assert blocked == reference
+
+
+@pytest.mark.parametrize("rows,block_rows", [(3, 1), (3, 2), (3, 3), (7, 3), (7, 8)])
+def test_counts_below_block_lengths_on_an_operator(rows, block_rows):
+    op = discretize(PoschlTeller(2), Grid(-12.0, 12.0, rows))
+    d, e2, _pivmin = fd_oracle._stacked([op])
+    shifts = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+    blocked, reference = _blocked_against_row_by_row(d, e2, shifts, np.zeros(3, np.intp),
+                                                     block_rows)
+    assert blocked == reference == _reference_counts(op, shifts.ravel())
 
 
 def test_grid_convergence_is_second_order():

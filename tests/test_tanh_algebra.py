@@ -208,6 +208,21 @@ def test_eval_deep_tail_accuracy():
     assert abs(eval_wave(w, z) - exact) <= 1e-14 * exact
 
 
+@pytest.mark.parametrize("z", [1e308, -1e308, 1e200])
+def test_eval_far_tail(z):
+    # past |z| ~ 9e307, 2|z| overflows and the log of the small weight is -inf
+    decaying = HypWave(Fraction(1), Fraction(1, 2), -T)  # -(1-t) sqrt(1+t) t
+    assert eval_wave(decaying, z) == 0.0
+    assert math.copysign(1.0, eval_wave(decaying, z)) == -math.copysign(1.0, z)
+    # an exponent of 0 adds no weight, even where its log is -inf
+    assert eval_wave(HypWave(0, 0, TanhPoly([1, 6])), z) == 1.0 + math.copysign(6.0, z)
+    assert eval_wave(HypWave(0, 2, TanhPoly.one(), 3), -abs(z)) == 0.0
+    assert eval_wave(HypWave(0, 2, TanhPoly.one(), 3), abs(z)) == 12.0  # 3 (1 + t)^2
+    growing = HypWave(Fraction(-1), Fraction(-1), TanhPoly.one())  # cosh^2 z
+    with pytest.raises(OverflowError, match="past the double range"):
+        eval_wave(growing, z)
+
+
 @given(w=hyp_waves(), z=st.floats(-8, 8))
 @settings(max_examples=60)
 def test_eval_matches_plain_weight_powers(w, z):
