@@ -1,8 +1,8 @@
 """Factorization-based solver and verification suite for shape-invariant tanh/sech wells."""
 
 from .coordinate_maps import (
-    ChartDomainError, MapPoint, chart_grid, chart_interval,
-    first_derivative_coefficient, map_point, theta_of_z, w_of_z, z_of_theta,
+    ChartDomainError, chart_grid, chart_interval, first_derivative_coefficient,
+    theta_of_z, w_of_z, z_of_theta,
 )
 from .fd_oracle import (
     Grid, NumericalError, ScatteringResult, TridiagonalOperator,

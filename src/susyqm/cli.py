@@ -35,9 +35,9 @@ from .tanh_algebra import HypWave, eigen_residual_symbolic, eval_wave, ladder_ch
 CONFIG_ENV_VAR = "SUSYQM_CONFIG"
 
 CONFIG_DEFAULTS = {
-    "grid_min": fd_oracle.DEFAULT_Z_MIN,
-    "grid_max": fd_oracle.DEFAULT_Z_MAX,
-    "grid_points": fd_oracle.DEFAULT_POINTS,
+    "grid_min": -12.0,
+    "grid_max": 12.0,
+    "grid_points": 2001,
     "tol": 2e-3,
     "scatter_half_width": fd_oracle.SCATTER_HALF_WIDTH,
     "scatter_step": fd_oracle.SCATTER_STEP,
@@ -48,11 +48,6 @@ DEFORMED_TOL = 1e-5
 # defaults need at most 160001 (the lattice of the finer scattering march)
 SIZE_CAP = 2_000_000
 GRID_KEYS = ("grid_min", "grid_max", "grid_points")
-
-VERIFY_SECTIONS = (
-    "riccati", "shape-invariance", "ladder", "relations",
-    "maps", "spectra", "deformed", "scatter",
-)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -211,6 +206,7 @@ def parse_command(argv: list[str]) -> Command:
         for key, value in vars(args).items()
         if key not in ("format", "output", "config", "subcommand") and value is not None
     }
+    flags = [key for key in (*GRID_KEYS, "tol") if key in params]  # before any default
     if sub in ("verify", "oracle"):
         for key in (*GRID_KEYS, "tol"):
             params.setdefault(key, config[key])
@@ -237,6 +233,13 @@ def parse_command(argv: list[str]) -> Command:
     # a NaN, infinite or negative tolerance would fail or pass every check
     if "tol" in params and not 0.0 <= params["tol"] < math.inf:
         raise UsageError(f"tol must be finite and nonnegative, got {params['tol']!r}")
+    reads = {*GRID_KEYS, "tol"} if sub in ("oracle", "deformed") else set()
+    if sub == "verify":
+        section = params["section"]
+        reads = {key for name in (VERIFY_SECTIONS if section == "all" else (section,))
+                 for key in SECTION_READS[name]}
+        if unread := [key for key in flags if key not in reads]:
+            raise UsageError(f"verify {section} does not read --{unread[0].replace('_', '-')}")
     for what, size in _request_sizes(sub, params):
         if size > SIZE_CAP:
             try:
@@ -244,6 +247,11 @@ def parse_command(argv: list[str]) -> Command:
             except OverflowError:  # an int past the double range
                 size_text = f"{Decimal(size):.4g}"
             raise UsageError(f"{size_text} {what} requested, above the size cap of {SIZE_CAP}")
+    if "grid_points" in reads:
+        try:
+            _grid(params)  # a grid that cannot be built stops the command before it runs
+        except ValueError as exc:
+            raise UsageError(f"bad grid: {exc}") from None
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
@@ -436,15 +444,15 @@ def checks_maps(params: dict) -> list[dict]:
     out = []
     for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
         zg = cmaps.chart_grid(gamma, -6.0, 6.0, 1000, margin_scale=1e-3)
-        thetas = np.array([cmaps.theta_of_z(gamma, z) for z in zg])
-        back = np.array([cmaps.z_of_theta(gamma, th) for th in thetas])
-        out.append(check(f"map-roundtrip-gamma-{gamma}",
-                         float(np.max(np.abs(back - zg))), 0.0, 1e-12, "closed-form"))
+        thetas = cmaps.theta_of_z(gamma, zg)
+        back = cmaps.z_of_theta(gamma, thetas)
+        out.append(check(f"map-roundtrip-gamma-{gamma}", _worst(back - zg), 0.0, 1e-12,
+                         "closed-form"))
         # the product identity sin(theta) cosh(w) = 1 is only representable in
         # doubles while sech(w) >~ 1e-3, so it gets a deeper chart inset
         zt = cmaps.chart_grid(gamma, -6.0, 6.0, 1000, margin_scale=2e-2)
-        th2 = np.array([cmaps.theta_of_z(gamma, z) for z in zt])
-        ws = np.array([cmaps.w_of_z(gamma, z) for z in zt])
+        th2 = cmaps.theta_of_z(gamma, zt)
+        ws = cmaps.w_of_z(gamma, zt)
         trig = _worst([
             np.sin(th2) - 1.0 / np.cosh(ws),
             np.cos(th2) + np.tanh(ws),
@@ -456,14 +464,14 @@ def checks_maps(params: dict) -> list[dict]:
         out.append(check(f"map-monotone-gamma-{gamma}", provenance="closed-form",
                          passed=bool(np.all(np.diff(thetas) > 0.0))))
         out.append(check(f"map-origin-gamma-{gamma}",
-                         cmaps.z_of_theta(gamma, math.pi / 2), 0.0, 1e-12,
+                         float(cmaps.z_of_theta(gamma, math.pi / 2)), 0.0, 1e-12,
                          "closed-form"))
-        safe = [z for z in np.linspace(-3.0, 3.0, 13) if gamma * z + 1.0 > 0.3]
-        elim = _worst([cmaps.first_derivative_coefficient(gamma, z) for z in safe])
+        zs = np.linspace(-3.0, 3.0, 13)
+        elim = _worst(cmaps.first_derivative_coefficient(gamma, zs[gamma * zs + 1.0 > 0.3]))
         out.append(check(f"first-derivative-elimination-gamma-{gamma}", elim, 0.0,
                          1e-10, "fd-oracle"))
     zs = np.linspace(-3.0, 3.0, 61)
-    drift = _worst([cmaps.theta_of_z(1e-8, z) - cmaps.theta_of_z(0.0, z) for z in zs])
+    drift = _worst(cmaps.theta_of_z(1e-8, zs) - cmaps.theta_of_z(0.0, zs))
     out.append(check("map-small-gamma-limit", drift, 0.0, 1e-6, "closed-form"))
     return out
 
@@ -584,6 +592,12 @@ SECTION_RUNNERS = {
     "deformed": checks_deformed,
     "scatter": checks_scatter,
 }
+VERIFY_SECTIONS = tuple(SECTION_RUNNERS)
+# the grid and tolerance keys each section reads; its other flags are rejected
+SECTION_READS = dict.fromkeys(SECTION_RUNNERS, ()) | {
+    "riccati": GRID_KEYS,
+    "spectra": (*GRID_KEYS, "tol"),
+}
 
 
 # ----------------------------------------------------------------------------
@@ -624,21 +638,20 @@ def run_eigenfunction(params: dict) -> dict:
 def run_map(params: dict) -> dict:
     gamma = params["gamma"]
     z = params["z"]
-    point = cmaps.map_point(gamma, z)
-    roundtrip = cmaps.z_of_theta(gamma, point.theta)
+    theta = cmaps.theta_of_z(gamma, z)
+    w = cmaps.w_of_z(gamma, z)
+    roundtrip = cmaps.z_of_theta(gamma, theta)
     return {
-        "theta": point.theta,
-        "w": point.w,
-        "sin_theta": math.sin(point.theta),
-        "sech_w": 1.0 / math.cosh(point.w),
-        "cos_theta": math.cos(point.theta),
-        "minus_tanh_w": -math.tanh(point.w),
+        "theta": theta,
+        "w": w,
+        "sin_theta": math.sin(theta),
+        "sech_w": 1.0 / math.cosh(w),
+        "cos_theta": math.cos(theta),
+        "minus_tanh_w": -math.tanh(w),
         "roundtrip_z": roundtrip,
         "checks": [
-            check("map-trig-sin", math.sin(point.theta), 1.0 / math.cosh(point.w),
-                  1e-12, "closed-form"),
-            check("map-trig-cos", math.cos(point.theta), -math.tanh(point.w),
-                  1e-12, "closed-form"),
+            check("map-trig-sin", math.sin(theta), 1.0 / math.cosh(w), 1e-12, "closed-form"),
+            check("map-trig-cos", math.cos(theta), -math.tanh(w), 1e-12, "closed-form"),
             check("map-roundtrip", roundtrip, z, 1e-12, "closed-form"),
         ],
     }

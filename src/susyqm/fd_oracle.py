@@ -32,9 +32,6 @@ import numpy as np
 
 from .potentials import PotentialFamily, potential_values
 
-DEFAULT_Z_MIN = -12.0
-DEFAULT_Z_MAX = 12.0
-DEFAULT_POINTS = 2001
 BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200  # multisection sweeps
 MULTISECTION_SHIFTS = 63
@@ -52,17 +49,19 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [z_min, z_max] with at least 3 points."""
+    """Uniform grid on [z_min, z_max] with at least 3 points and a finite width."""
 
-    z_min: float = DEFAULT_Z_MIN
-    z_max: float = DEFAULT_Z_MAX
-    points: int = DEFAULT_POINTS
+    z_min: float
+    z_max: float
+    points: int
 
     def __post_init__(self):
         if self.points < 3:
             raise ValueError("need at least 3 grid points")
-        if not self.z_min < self.z_max:
-            raise ValueError("need z_min < z_max")
+        # NaN or infinite bounds, and a width past the double range, fail here too
+        if not 0.0 < self.z_max - self.z_min < math.inf:
+            raise ValueError(f"need finite z_min < z_max with a finite width, "
+                             f"got [{self.z_min}, {self.z_max}]")
 
     @property
     def h(self) -> float:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coordinate_maps import ChartDomainError, GAMMA_SWITCH
+from .coordinate_maps import GAMMA_SWITCH, w_of_z
 from .orthopoly import jacobi_poly, jacobi_values
 from .tanh_algebra import HypWave, as_fraction
 
@@ -108,24 +108,14 @@ def gamma_deformed_residual(alpha: float, beta: float, n: int, grid: Grid) -> fl
     n_prime = n + m
 
     zs = grid.zs()
-    if abs(gamma) >= GAMMA_SWITCH:
-        u = gamma * zs + 1.0
-        if np.min(u) <= 0.0:
-            raise ChartDomainError(
-                f"grid touches the singular point z = {-1.0 / gamma}: "
-                f"min(gamma*z + 1) = {np.min(u)}"
-            )
-        w = np.log1p(gamma * zs) / gamma
-        u2 = u * u
-    else:
-        w = zs
-        u2 = np.ones_like(zs)
-
+    w = w_of_z(gamma, zs)
+    # (gamma z + 1)^2 at the stencil centres; 1 on the gamma = 0 branch, where w = z
+    u2 = (gamma * zs[2:-2] + 1.0) ** 2 if abs(gamma) >= GAMMA_SWITCH else 1.0
     tw = np.tanh(w)
     sech2 = 1.0 / np.cosh(w) ** 2
     v = sech2 ** (0.25 * (alpha + beta)) * jacobi_values(n, alpha, beta, -tw)
     bracket = (n_prime * (n_prime + 1.0)) * sech2 - m * m - gamma * m * tw
     h2 = grid.h ** 2
     vpp = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * h2)
-    resid = vpp + bracket[2:-2] * v[2:-2] / u2[2:-2]
+    resid = vpp + bracket[2:-2] * v[2:-2] / u2
     return float(np.max(np.abs(resid)))

@@ -326,10 +326,6 @@ class HypWave:
         m = as_fraction(m)
         return cls(m / 2, m / 2, TanhPoly.one())
 
-    @classmethod
-    def constant(cls, c) -> "HypWave":
-        return cls(Fraction(0), Fraction(0), TanhPoly.one(), as_fraction(c))
-
     @property
     def is_zero(self) -> bool:
         return self.prefactor == 0
@@ -341,9 +337,6 @@ class HypWave:
         return HypWave(self.a, self.b, self.poly, self.prefactor * as_fraction(c))
 
     __rmul__ = __mul__
-
-    def times_poly(self, p: TanhPoly) -> "HypWave":
-        return HypWave(self.a, self.b, self.poly * p, self.prefactor)
 
     def shift_weight(self, da, db) -> "HypWave":
         """Multiply by (1-t)^da (1+t)^db; exponent bookkeeping only."""

@@ -181,6 +181,60 @@ def test_grid_too_fine_for_the_stencil_exits_3(argv, capsys):
     assert err.count("\n") == 1 and "past the double range" in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--family", "poschl-teller", "--l", "2", "--grid-min=-inf"],
+    ["verify", "spectra", "--grid-min=-1e308", "--grid-max=1e308"],
+    ["verify", "all", "--grid-max=nan"],
+    ["deformed", "--alpha", "1", "--beta", "2", "--grid-min=-inf", "--grid-max", "1",
+     "--grid-points", "11"],
+])
+def test_grid_that_cannot_be_built_exits_2_before_running(argv, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, argv[0], calls.append)
+    with pytest.raises(cli.UsageError, match="finite"):
+        parse_command(argv)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "deformed", "--grid-points", "3", "--tol", "0"],
+    ["verify", "maps", "--tol", "5"],
+    ["verify", "shape-invariance", "--grid-min=-inf"],
+    ["verify", "scatter", "--grid-max", "3"],
+    ["verify", "riccati", "--tol", "1e-3"],
+    ["verify", "ladder", "--grid-points", "801"],
+])
+def test_verify_section_rejects_grid_and_tol_flags_it_does_not_read(argv, monkeypatch,
+                                                                     capsys):
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, "verify", calls.append)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: verify {argv[1]} does not read --")
+    assert err.count("\n") == 1, err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "riccati", "--grid-points", "801"],
+    ["verify", "spectra", "--grid-points", "801", "--tol", "1e-3"],
+    ["verify", "all", "--grid-min=-10", "--tol", "1e-3"],
+])
+def test_verify_section_accepts_the_flags_it_reads(argv):
+    assert parse_command(argv).parameters["section"] == argv[1]
+
+
+def test_verify_section_takes_unread_grid_and_tol_from_the_config(tmp_path):
+    # config values are shared by every subcommand, so they are not flags
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("grid_points = 3\ntol = 0\n")
+    params = parse_command(["verify", "maps", "--config", str(cfg)]).parameters
+    assert (params["grid_points"], params["tol"]) == (3, 0.0)
+
+
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(["spectrum", "--family", "poschl-teller", "--l", "1",
@@ -218,13 +272,11 @@ def test_checks_spectra_nan_level_fails(monkeypatch):
 def test_checks_maps_nan_elimination_fails(monkeypatch):
     # the builtin max() keeps the first value when a later one is NaN
     real = cli.cmaps.first_derivative_coefficient
-    seen = set()
 
-    def nan_after_first(gamma, z):
-        if gamma in seen:
-            return math.nan
-        seen.add(gamma)
-        return real(gamma, z)
+    def nan_after_first(gamma, zs):
+        values = real(gamma, zs)
+        values[1:] = math.nan
+        return values
 
     monkeypatch.setattr(cli.cmaps, "first_derivative_coefficient", nan_after_first)
     elim = [c for c in cli.checks_maps({})
@@ -314,7 +366,7 @@ def test_config_bad_tolerance_exits_2(value, tmp_path, capsys):
 
 
 def test_zero_tolerance_is_accepted():
-    assert parse_command(["verify", "maps", "--tol", "0"]).parameters["tol"] == 0.0
+    assert parse_command(["verify", "spectra", "--tol", "0"]).parameters["tol"] == 0.0
 
 
 OVERSIZED = [
@@ -578,6 +630,49 @@ def test_eigen_golden(command, exit_code, sha, capsys):
     code, out, err = run(command.split(), capsys)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+# sha256 of the exact stdout, and the exit code, of `map` and `deformed`,
+# taken when each scalar map function had its own copy of the formula and
+# `deformed` its own chart test
+MAP_DEFORMED_GOLDEN = [
+    ("map --gamma 2 --z 1.5", 0,
+     "2e66dcb44ca6ed89ac63e965e7649c5f425183a106a921592b99b49745de2789"),
+    ("map --gamma -0.5 --z 1.25", 0,
+     "a64314ac7b1a713513b8cc7c1ee20dcda67bb66cadd90c37a758f011c317f721"),
+    ("map --gamma 0 --z 0.3", 0,
+     "b1b0756085f53c989564585ef46afd36e638dad8015ab1aa9ea0430923613932"),
+    ("map --gamma 1e-8 --z 2", 0,
+     "a48e99101efbeaae192d5cc422aa824afde002f5b1433e4af3de6a9f5a5e5251"),
+    ("map --gamma 1e-300 --z 5", 0,
+     "ef4fc3bf03398c877e5b9e165a0101cee0d26d3e4a4a68c93d9e4ef6d0fa8a7f"),
+    ("deformed --alpha 1 --beta 2 --n 1", 0,
+     "2ef6514c35e4e6e0d20999f007a86bf52123a5719dd7fcdd1adc63ed00447495"),
+    ("deformed --alpha 0.5 --beta 1.5 --n 2", 0,
+     "5ff90a33277b3ff8e773d777597e2e0c3da9360ddd0a15a84c74a4c72028481c"),
+    ("deformed --alpha 1 --beta 1", 0,
+     "4fcec2799f33f6836be6c81a5ca1ca99dcf64da0d847e46a840c4e7f58e0f396"),
+    ("verify deformed", 0,
+     "4a85f2aa27bdcc18af04b859efbdedd1526e3e9aad1bdd6b6d9de24679e30c36"),
+]
+
+
+@pytest.mark.parametrize("command,exit_code,sha", MAP_DEFORMED_GOLDEN,
+                         ids=[command.replace(" --", "-").replace(" ", "")
+                              for command, _code, _sha in MAP_DEFORMED_GOLDEN])
+def test_map_and_deformed_golden(command, exit_code, sha, capsys):
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+@pytest.mark.parametrize("z", ["40", "1000"])
+def test_map_where_theta_rounds_to_pi_exits_2(z, capsys):
+    # e^z overflows at z = 1000 and only rounds theta to pi at z = 40; both
+    # are a point the inverse map cannot take back
+    code, out, err = run(["map", "--gamma", "0", "--z", z], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "is not inside (0, pi)" in err, err
 
 
 def test_map_report_contents(capsys):

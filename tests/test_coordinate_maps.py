@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from susyqm import (
-    ChartDomainError, chart_grid, chart_interval,
-    first_derivative_coefficient, map_point, theta_of_z, w_of_z, z_of_theta,
+    ChartDomainError, chart_grid, chart_interval, first_derivative_coefficient,
+    theta_of_z, w_of_z, z_of_theta,
 )
 
 GAMMAS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -79,10 +79,10 @@ def test_monotone_increasing(gamma):
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_map_point_invariants(gamma):
     for z in chart_grid(gamma, -5.0, 5.0, 37, margin_scale=2e-2):
-        pt = map_point(gamma, z)
-        assert abs(math.sin(pt.theta) - 1.0 / math.cosh(pt.w)) <= 1e-12
-        assert abs(math.cos(pt.theta) + math.tanh(pt.w)) <= 1e-12
-        assert abs(math.sin(pt.theta) * math.cosh(pt.w) - 1.0) <= 1e-12
+        theta, w = theta_of_z(gamma, z), w_of_z(gamma, z)
+        assert abs(math.sin(theta) - 1.0 / math.cosh(w)) <= 1e-12
+        assert abs(math.cos(theta) + math.tanh(w)) <= 1e-12
+        assert abs(math.sin(theta) * math.cosh(w) - 1.0) <= 1e-12
 
 
 def test_small_gamma_limit_consistency():
@@ -120,3 +120,38 @@ def test_roundtrip_property(gamma, x):
     hi = min(hi, 6.0) - 0.05
     z = lo + x * (hi - lo)
     assert abs(z_of_theta(gamma, theta_of_z(gamma, z)) - z) <= 1e-10 * max(1.0, abs(z))
+
+
+@pytest.mark.parametrize("gamma", GAMMAS + (1e-8,))
+def test_arrays_give_the_pointwise_values(gamma):
+    zg = chart_grid(gamma, -6.0, 6.0, 200, margin_scale=1e-3)
+    thetas = theta_of_z(gamma, zg)
+    for fn, xs, ys in ((theta_of_z, zg, thetas), (w_of_z, zg, w_of_z(gamma, zg)),
+                       (z_of_theta, thetas, z_of_theta(gamma, thetas))):
+        np.testing.assert_array_max_ulp(ys, [fn(gamma, float(x)) for x in xs], maxulp=2)
+    zs = np.linspace(-3.0, 3.0, 13)
+    zs = zs[gamma * zs + 1.0 > 0.3]
+    np.testing.assert_allclose(first_derivative_coefficient(gamma, zs),
+                               [first_derivative_coefficient(gamma, float(z)) for z in zs],
+                               rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_complex_step_gives_the_closed_form_derivative(gamma):
+    # d theta/dz = sech(w) dw/dz = sech(w) / (gamma z + 1)
+    zg = chart_grid(gamma, -6.0, 6.0, 500, margin_scale=1e-3)
+    step = theta_of_z(gamma, zg + 1e-20j).imag / 1e-20
+    exact = 1.0 / (np.cosh(w_of_z(gamma, zg)) * (gamma * zg + 1.0))
+    np.testing.assert_allclose(step, exact, rtol=1e-14, atol=0.0)
+
+
+def test_chart_error_names_the_first_point_off_the_chart():
+    with pytest.raises(ChartDomainError, match=r"^z = -0\.6 is outside the chart") as info:
+        w_of_z(2.0, np.array([0.0, -0.6, -1.0, 3.0]))
+    assert "\n" not in str(info.value)
+    with pytest.raises(ChartDomainError, match=r"^z = nan is outside the chart"):
+        theta_of_z(1.0, math.nan)
+    with pytest.raises(ChartDomainError, match=r"^z = \(-1\.5\+1e-20j\) is outside"):
+        theta_of_z(1.0, np.array([0.5 + 1e-20j, -1.5 + 1e-20j]))
+    with pytest.raises(ChartDomainError, match=r"^theta = 0\.0 is not inside \(0, pi\)$"):
+        z_of_theta(0.5, np.array([1.0, 0.0, 2.0]))

@@ -45,6 +45,20 @@ def test_grid_validation():
     assert Grid(-1.0, 1.0, 21).h == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("z_min,z_max", [
+    (-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan),
+    (-1e308, 1e308),  # both finite, but the width overflows
+])
+def test_grid_rejects_bounds_it_cannot_span(z_min, z_max):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(z_min, z_max, 11)
+
+
+def test_grid_has_no_default_fields():
+    with pytest.raises(TypeError):
+        Grid()
+
+
 def test_tridiagonal_validation():
     with pytest.raises(ValueError):
         TridiagonalOperator(np.zeros(4), np.zeros(4))

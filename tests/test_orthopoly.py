@@ -114,7 +114,7 @@ def test_proportionality_error_paths():
         proportionality_constant(
             HypWave(0, 0, TanhPoly.t()), HypWave(0, 0, TanhPoly((1, 1))))
     with pytest.raises(ProportionalityError):
-        proportionality_constant(HypWave.constant(0), HypWave.sech_power(1))
+        proportionality_constant(HypWave(0, 0, TanhPoly.one(), 0), HypWave.sech_power(1))
 
 
 def test_legendre_identity_frozen_constants():

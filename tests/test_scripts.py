@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -119,3 +123,47 @@ def test_reflection_scan_row_count_at_cap_runs(tmp_path, monkeypatch):
                         "--out", str(tmp_path / "scan.csv")])
     assert code == 0
     assert len(calls) == module.ROW_CAP
+
+
+fuzz_scan_rational = st.builds(lambda num, den: str(Fraction(num, den)),
+                               st.integers(-2, 8), st.integers(1, 4))
+# small rationals three times in four, else text that is no rational at all
+# (1e400 parses, to 10^400)
+fuzz_scan_text = st.one_of(
+    fuzz_scan_rational, fuzz_scan_rational, fuzz_scan_rational,
+    st.sampled_from(["", "abc", "1/0", "nan", "inf", "1e400", "0x10", "--k"]),
+)
+
+
+@st.composite
+def fuzz_scan_argv(draw):
+    lo, step = draw(fuzz_scan_text), draw(fuzz_scan_text)
+    try:
+        # --l-max at most four steps past --l-min: a scan that runs has at most 5 rows
+        hi = str(Fraction(lo) + draw(st.integers(-1, 4)) * Fraction(step))
+    except (ValueError, ZeroDivisionError):
+        hi = draw(fuzz_scan_text)
+    # every float, nan and +-inf included, and often one a scan can run at
+    k = draw(st.floats() | st.floats(0.25, 4.0))
+    return [f"--k={k!r}", f"--l-min={lo}", f"--l-max={hi}", f"--step={step}"]
+
+
+@given(argv=fuzz_scan_argv())
+@example(argv=["--k=1e300", "--l-min=1", "--l-max=1", "--step=1"])
+@example(argv=["--k=1e-300", "--l-min=3/2", "--l-max=3/2", "--step=1"])
+@example(argv=["--k=1.0", "--l-min=1e400", "--l-max=1e400", "--step=1"])
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_reflection_scan_exit_code_contract_fuzz(argv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("scan") / "scan.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = load_script("reflection_scan").main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse's error(), after its usage text
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3) and not err.startswith("usage:"):
+        assert err.count("\n") == 1 and err.endswith("\n"), err
