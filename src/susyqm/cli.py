@@ -45,7 +45,8 @@ CONFIG_DEFAULTS = {
 }
 DEFORMED_TOL = 1e-5
 # most levels, grid points or RK4 lattice points one command may ask for; the
-# defaults need at most 160001 (the lattice of the finer scattering march)
+# defaults need at most 160001 (the lattice the finer scattering march runs
+# over, a bound on its work: the march streams the lattice in blocks)
 SIZE_CAP = 2_000_000
 GRID_KEYS = ("grid_min", "grid_max", "grid_points")
 
@@ -160,8 +161,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification section (or all)")
     p.add_argument("section", choices=VERIFY_SECTIONS + ("all",))
-    p.add_argument("--l-max", type=int, default=5)
-    p.add_argument("--p-max", type=int, default=4)
+    p.add_argument("--l-max", type=int, default=None)
+    p.add_argument("--p-max", type=int, default=None)
     add_common(p)
     add_grid(p)
 
@@ -206,11 +207,14 @@ def parse_command(argv: list[str]) -> Command:
         for key, value in vars(args).items()
         if key not in ("format", "output", "config", "subcommand") and value is not None
     }
-    flags = [key for key in (*GRID_KEYS, "tol") if key in params]  # before any default
+    flags = [key for key in (*GRID_KEYS, "tol", "l_max", "p_max")
+             if key in params]  # before any default
     if sub in ("verify", "oracle"):
         for key in (*GRID_KEYS, "tol"):
             params.setdefault(key, config[key])
     if sub == "verify":
+        params.setdefault("l_max", 5)
+        params.setdefault("p_max", 4)
         # an empty range would run no check and still report a pass
         if params["l_max"] < 1:
             raise UsageError(f"--l-max must be at least 1, got {params['l_max']}")
@@ -233,13 +237,10 @@ def parse_command(argv: list[str]) -> Command:
     # a NaN, infinite or negative tolerance would fail or pass every check
     if "tol" in params and not 0.0 <= params["tol"] < math.inf:
         raise UsageError(f"tol must be finite and nonnegative, got {params['tol']!r}")
-    reads = {*GRID_KEYS, "tol"} if sub in ("oracle", "deformed") else set()
-    if sub == "verify":
-        section = params["section"]
-        reads = {key for name in (VERIFY_SECTIONS if section == "all" else (section,))
-                 for key in SECTION_READS[name]}
-        if unread := [key for key in flags if key not in reads]:
-            raise UsageError(f"verify {section} does not read --{unread[0].replace('_', '-')}")
+    reads = _reads(sub, params)
+    if sub == "verify" and (unread := [key for key in flags if key not in reads]):
+        raise UsageError(f"verify {params['section']} does not read "
+                         f"--{unread[0].replace('_', '-')}")
     for what, size in _request_sizes(sub, params):
         if size > SIZE_CAP:
             try:
@@ -255,13 +256,23 @@ def parse_command(argv: list[str]) -> Command:
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
+def _reads(sub: str, params: dict) -> set:
+    """The grid, tolerance and check-range keys a command reads."""
+    if sub == "verify":
+        section = params["section"]
+        return {key for name in (VERIFY_SECTIONS if section == "all" else (section,))
+                for key in SECTION_READS[name]}
+    return {*GRID_KEYS, "tol"} if sub in ("oracle", "deformed") else set()
+
+
 def _request_sizes(sub: str, params: dict):
-    """(what, size) of everything a command would allocate per level, grid
-    point or RK4 lattice point, computed without allocating any of it."""
+    """(what, size) of everything a command would build or march over per
+    level, grid point or RK4 lattice point, computed without allocating any of
+    it.  Grid points count only where the command reads a grid."""
     if sub in ("spectrum", "oracle"):
         # levels() is range(count); .stop is count even past len()'s limit
         yield "levels", _family(params).levels().stop
-    if "grid_points" in params:
+    if "grid_points" in _reads(sub, params):
         yield "grid points", params["grid_points"]
     if sub == "scatter" or (sub == "verify" and params["section"] in ("scatter", "all")):
         half_width = params["grid_max" if sub == "scatter" else "scatter_half_width"]
@@ -593,9 +604,12 @@ SECTION_RUNNERS = {
     "scatter": checks_scatter,
 }
 VERIFY_SECTIONS = tuple(SECTION_RUNNERS)
-# the grid and tolerance keys each section reads; its other flags are rejected
+# the grid, tolerance and check-range keys each section reads; its other
+# flags are rejected
 SECTION_READS = dict.fromkeys(SECTION_RUNNERS, ()) | {
     "riccati": GRID_KEYS,
+    "ladder": ("l_max",),
+    "relations": ("l_max", "p_max"),
     "spectra": (*GRID_KEYS, "tol"),
 }
 

@@ -15,11 +15,15 @@ per bracket, and checks the pivot floor once per block; it redoes a block row
 by row with the floor only where the floor would have fired, so the pivots
 are those of the plain row-by-row recurrence bit for bit.  The
 scattering equation is linear, so each RK4 step is a real 2x2 matrix M; the
-march is their ordered product, formed chunk by chunk with a pairwise
-(log-depth) reduction on four flat arrays that hold the entries of M - I.
-Each scattering call evaluates the potential once, on the half-step lattice of
-its finer march; the coarser march of the step-halving check reads every other
-point of it.
+march is their ordered product, kept in difference form M - I.  One loop
+streams the half-step lattice of the finer march in blocks of MARCH_BLOCK
+steps: a block evaluates V once on its new points (the same doubles as
+np.linspace), scales u = s^2 (V - E) in place, and forms the step deltas of
+both marches from u, the coarser march of the step-halving check reading
+every other point.  The two marches' deltas are reduced together by one
+pairwise (log-depth) product over a stacked 2 x 2 x march x step array and
+folded into running 2x2 products, so the work grows with the lattice and the
+memory only with the block.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ SCATTER_HALF_WIDTH = 20.0
 SCATTER_STEP = 1e-3
 FLUX_TOL = 1e-6
 STEP_HALVING_TOL = 1e-7
-MARCH_CHUNK = 16384  # RK4 steps per batch of step matrices; bounds peak memory
+MARCH_BLOCK = 16384  # fine RK4 steps per block of the scattering march (even)
 COUNT_BLOCK = 16384  # Sturm pivots per block of rows; bounds the block arrays (128 KB each)
 
 
@@ -298,77 +302,150 @@ class ScatteringResult:
     rk4_steps: tuple[int, int]
 
 
-def _rk4_step_deltas(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-                     s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The entries (D00, D01, D10, D11) of D_j = M_j - I, one flat array each,
-    where (psi, psi')_{j+1} = M_j (psi, psi')_j is one RK4 step.
+def _rk4_step_deltas(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, s: float,
+                     out: np.ndarray) -> np.ndarray:
+    """Write D_j = M_j - I into out[:, :, j] (out is 2 x 2 x steps) and return out,
+    where (psi, psi')_{j+1} = M_j (psi, psi')_j is one RK4 step of size s.
 
     For y' = A(z) y with A = [[0, 1], [v, 0]], the four classical stages
     compose to M = I + s/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0,
-    K2 = A1 (I + s/2 K1), K3 = A1 (I + s/2 K2), K4 = A2 (I + s K3); v0, v1,
-    v2 are V - E at the start, middle and end of each step.  Storing M - I
-    keeps the O(s^2) diagonal entries at full precision: rounding 1 + O(s^2)
-    would repeat the same error at every step of a constant tail.
+    K2 = A1 (I + s/2 K1), K3 = A1 (I + s/2 K2), K4 = A2 (I + s K3).  u0, u1,
+    u2 are u = s^2 (V - E) at the start, middle and end of each step, and with
+    w = 1/6 + u1/24 the composition reads
+        D00 = u0 w + u1/3,   D11 = u2 w + u1/3,   D01 = s (1 + u1/6),
+        D10 = [(u0 + u2)(1/6 + u1/12) + 2 u1/3] / s.
+    Storing M - I keeps the O(s^2) diagonal entries at full precision:
+    rounding 1 + O(s^2) would repeat the same error at every step of a
+    constant tail.
     """
-    s2 = s * s
-    return (s2 * (v0 + 2.0 * v1) / 6.0 + s2 * s2 * v0 * v1 / 24.0,
-            s + s * s2 * v1 / 6.0,
-            s * (v0 + 4.0 * v1 + v2) / 6.0 + s * s2 * v1 * (v0 + v2) / 12.0,
-            s2 * (2.0 * v1 + v2) / 6.0 + s2 * s2 * v1 * v2 / 24.0)
+    w = u1 * (1.0 / 24.0)
+    w += 1.0 / 6.0
+    third = u1 * (1.0 / 3.0)
+    np.multiply(u0, w, out=out[0, 0])
+    out[0, 0] += third
+    np.multiply(u2, w, out=out[1, 1])
+    out[1, 1] += third
+    np.multiply(u1, s / 6.0, out=out[0, 1])
+    out[0, 1] += s
+    np.multiply(u1, 1.0 / 12.0, out=w)
+    w += 1.0 / 6.0
+    d10 = np.add(u0, u2, out=out[1, 0])
+    d10 *= w
+    third *= 2.0
+    d10 += third
+    d10 /= s
+    return out
 
 
-def _ordered_product_delta(d00: np.ndarray, d01: np.ndarray, d10: np.ndarray,
-                           d11: np.ndarray) -> tuple[float, float, float, float]:
-    """(I + D_{n-1}) ... (I + D_1) (I + D_0) - I, by pairwise reduction.
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I + b)(I + a) - I = a + b + b a for stacks of 2 x 2 deltas (2 x 2 x ...).
 
-    D_j has the entries d00[j], d01[j], d10[j], d11[j].  Each level merges
-    neighbours as (I + b)(I + a) - I = a + b + b a, written out per entry on
-    the four flat arrays, and carries an odd last matrix up unchanged, so the
-    depth is log2(n) and the result stays in difference form.
+    b a is the batched product einsum("ij...,jk...->ik...", b, a), formed as
+    two broadcast products so that each numpy call covers all four entries.
     """
-    while d00.shape[0] > 1:
-        n = d00.shape[0]
-        a00, a01, a10, a11 = d00[0:n - 1:2], d01[0:n - 1:2], d10[0:n - 1:2], d11[0:n - 1:2]
-        b00, b01, b10, b11 = d00[1::2], d01[1::2], d10[1::2], d11[1::2]
-        merged = (a00 + b00 + (b00 * a00 + b01 * a10),
-                  a01 + b01 + (b00 * a01 + b01 * a11),
-                  a10 + b10 + (b10 * a00 + b11 * a10),
-                  a11 + b11 + (b10 * a01 + b11 * a11))
-        if n % 2:
-            merged = tuple(np.concatenate((m, d[-1:])) for m, d in
-                           zip(merged, (d00, d01, d10, d11)))
-        d00, d01, d10, d11 = merged
-    return d00.item(), d01.item(), d10.item(), d11.item()
+    ba = b[:, :1] * a[:1]
+    ba += b[:, 1:] * a[1:]
+    c = a + b
+    c += ba
+    return c
 
 
-def _integrate_scattering(v_shift: np.ndarray, k: float,
-                          half_width: float) -> tuple[complex, complex]:
-    """March psi'' = (V - E) psi from +L to -L, transmitted plane wave as seed.
+def _ordered_product_delta(d: np.ndarray) -> np.ndarray:
+    """(I + D_{n-1}) ... (I + D_1) (I + D_0) - I with D_j = d[..., j], pairwise.
 
-    v_shift holds V - E on the half-step lattice of the march, 2 n + 1 points
-    running from z = L down to z = -L, so the march takes n steps of
-    s = -2L/n.  Classical fixed-step 4th-order scheme.  The equation is
-    linear, so the march is the ordered product of the real RK4 step
-    matrices, taken MARCH_CHUNK steps at a time and folded into a running
-    2x2 product.  Returns (A, B), the incident and reflected amplitudes for
-    unit transmission.
+    d is 2 x 2 x ... x n: the first two axes are the matrix entries, the last
+    runs over the steps, and any axes between them are columns, each reduced
+    on its own.  Each level merges neighbours with _merge and carries an odd
+    last matrix up unchanged, so the depth is log2(n) and the result, of
+    shape d.shape[:-1], stays in difference form.
     """
-    n_steps = (v_shift.shape[0] - 1) // 2
-    s = -2.0 * half_width / n_steps
-    # the running product, as Python floats, so results and the records
-    # built from them hold floats and bools rather than numpy scalars
-    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
-    for start in range(0, n_steps, MARCH_CHUNK):
-        stop = min(start + MARCH_CHUNK, n_steps)
-        q00, q01, q10, q11 = _ordered_product_delta(*_rk4_step_deltas(
-            v_shift[2 * start:2 * stop:2], v_shift[2 * start + 1:2 * stop:2],
-            v_shift[2 * start + 2:2 * stop + 1:2], s))
-        p00, p01, p10, p11 = (p00 + (q00 * p00 + q01 * p10), p01 + (q00 * p01 + q01 * p11),
-                              p10 + (q10 * p00 + q11 * p10), p11 + (q10 * p01 + q11 * p11))
+    while (n := d.shape[-1]) > 1:
+        c = _merge(d[..., 0:n - 1:2], d[..., 1::2])
+        d = np.concatenate((c, d[..., -1:]), axis=-1) if n % 2 else c
+    return d[..., 0]
+
+
+def _march(fam: PotentialFamily, energy: float, half_width: float,
+           n_steps: int) -> np.ndarray:
+    """Product deltas of both RK4 marches from z = L down to z = -L.
+
+    The coarse march takes n_steps steps of s_c = -2L/n_steps and the fine
+    march 2 n_steps steps of s_f = s_c / 2 (exactly).  Both run on the fine
+    march's half-step lattice, np.linspace(L, -L, 4 n_steps + 1), taken
+    MARCH_BLOCK fine steps at a time.  A block evaluates its new lattice
+    points once, with linspace's own formula j dz + L and the last point set
+    to -L, so every V is that of the linspace lattice bit for bit; it carries
+    the point it shares with the next block.  It scales once,
+    u = s_f^2 (V - E) in place, and the coarse march reads 4 u on every other
+    point, which is s_c^2 (V - E) exactly.  The fine step deltas are merged
+    in pairs, stacked beside the coarse ones, and both marches are reduced
+    together by _ordered_product_delta, then folded into running products.
+
+    The potential must have decayed to within 1e-10 of the asymptote at the
+    lattice's end points.  The check reads the first and last points the
+    march evaluates, +L before the first block is marched and -L before the
+    last, so no point is evaluated twice.  Returns the product deltas as a
+    2 x 2 x 2 array, [i, j, march] with march 0 the coarse and 1 the fine.
+    """
+    v_inf = fam.asymptotes[0]
+    steps = 2 * n_steps
+    count = 2 * steps + 1
+    s = -2.0 * half_width / steps
+    dz = -2.0 * half_width / (count - 1)  # linspace's step
+    block = min(MARCH_BLOCK, steps)
+    # the call's buffers are views of one allocation: measured with getrusage,
+    # separate buffers cost about 670 minor page faults per default call, one
+    # allocation about none
+    work = np.empty(14 * block + 3)
+    index, lattice, zs = work[:6 * block + 3].reshape(3, 2 * block + 1)
+    index[:] = np.arange(2 * block + 1)
+    fine = work[6 * block + 3:10 * block + 3].reshape(2, 2, block)
+    pairs = work[10 * block + 3:].reshape(2, 2, 2, block // 2)
+    total = np.zeros((2, 2, 2))
+    ends = []
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        first = 2 * start + (start > 0)  # the block's first new lattice point
+        new_points = 2 * stop + 1 - first
+        z = np.add(index[:new_points], first, out=zs[:new_points])
+        z *= dz
+        z += half_width
+        if stop == steps:
+            z[-1] = -half_width
+        v = fam.values(z)
+        if start == 0 or stop == steps:
+            ends += [v[0]] * (start == 0) + [v[-1]] * (stop == steps)
+            defect = float(np.max(np.abs(np.subtract(ends, v_inf))))
+            if not (defect <= 1e-10):
+                raise NumericalError(
+                    f"potential has not decayed at |z| = {half_width}: "
+                    f"|V - V_inf| = {defect:.3e}; increase the half width"
+                )
+        m = stop - start
+        u = lattice[:2 * m + 1]
+        if start:
+            u[0] = lattice[-1]  # the previous block, always a full one, ended there
+        new = u[1:] if start else u
+        np.subtract(v, energy, out=new)
+        new *= s * s
+        d = _rk4_step_deltas(u[0:-1:2], u[1::2], u[2::2], s, fine[..., :m])
+        p = pairs[..., :m // 2]
+        p[:, :, 1] = _merge(d[..., 0::2], d[..., 1::2])
+        uc = u[::2] * 4.0
+        _rk4_step_deltas(uc[0:-1:2], uc[1::2], uc[2::2], 2.0 * s, p[:, :, 0])
+        total = _merge(total, _ordered_product_delta(p))
+    return total
+
+
+def _amplitudes(p: list[list[float]], k: float, half_width: float) -> tuple[complex, complex]:
+    """(A, B), the incident and reflected amplitudes for unit transmission,
+    from the product delta p of a march seeded at z = L with the transmitted
+    plane wave e^{ikz}."""
+    (p00, p01), (p10, p11) = p
     phase = cmath.exp(1j * k * half_width)
-    dphase = 1j * k * phase  # the transmitted wave e^{ikz} and its slope at z = L
-    psi = p00 * phase + p01 * dphase
-    dpsi = p10 * phase + p11 * dphase
+    dphase = 1j * k * phase  # the transmitted wave and its slope at z = L
+    psi = (1.0 + p00) * phase + p01 * dphase
+    dpsi = p10 * phase + (1.0 + p11) * dphase
     a = 0.5 * (psi + dpsi / (1j * k)) * phase
     b = 0.5 * (psi - dpsi / (1j * k)) / phase
     return a, b
@@ -379,15 +456,15 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
                           step: float = SCATTER_STEP) -> ScatteringResult:
     """Reflection/transmission probabilities at wavenumber k above the asymptote.
 
-    The incident energy is E = k^2 + V_inf.  V - E is evaluated once, on the
-    half-step lattice of the fine march (step h/2); the coarse march (step h)
-    reads every other point of it.  Unequal asymptotes, or a V that has not
-    decayed to within 1e-10 of V_inf at the lattice's end points +-L, raise
-    NumericalError before the march.  Two built-in sanity checks guard the
-    integration: flux conservation |R|^2 + |T|^2 = 1 within 1e-6, and
-    agreement of |R|^2 between step h and h/2 within 1e-7.  Violations raise
-    NumericalError with diagnostics; a k, half width or step that is not
-    positive and finite raises ValueError.
+    The incident energy is E = k^2 + V_inf.  psi'' = (V - E) psi is marched
+    from +L to -L with the transmitted plane wave as seed, by classical
+    fixed-step RK4 at step h and at h/2 (_march).  Unequal asymptotes, or a V
+    that has not decayed to within 1e-10 of V_inf at the lattice's end points
+    +-L, raise NumericalError before the march reaches them.  Two built-in
+    sanity checks guard the integration: flux conservation
+    |R|^2 + |T|^2 = 1 within 1e-6, and agreement of |R|^2 between step h and
+    h/2 within 1e-7.  Violations raise NumericalError with diagnostics; a k,
+    half width or step that is not positive and finite raises ValueError.
     """
     k, half_width, step = float(k), float(half_width), float(step)
     for name, value in (("wavenumber", k), ("half width", half_width), ("step", step)):
@@ -399,10 +476,9 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
             "scattering runs are restricted to symmetric tails; "
             f"{fam!r} has unequal asymptotes {v_inf} and {right}"
         )
-    energy = k * k + v_inf
 
-    def probabilities(v_shift: np.ndarray) -> tuple[float, float]:
-        a, b = _integrate_scattering(v_shift, k, half_width)
+    def probabilities(p: list[list[float]]) -> tuple[float, float]:
+        a, b = _amplitudes(p, k, half_width)
         try:
             a2 = abs(a) ** 2
             b2 = abs(b) ** 2
@@ -417,17 +493,10 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
 
     n_steps = max(2, int(round(2.0 * half_width / step)))
     h = 2.0 * half_width / n_steps
-    # linspace ends exactly at +-L, so its end points are the tails to check
-    v_fine = potential_values(fam, np.linspace(half_width, -half_width, 4 * n_steps + 1))
-    defect = float(np.max(np.abs(v_fine[[0, -1]] - v_inf)))
-    if not (defect <= 1e-10):
-        raise NumericalError(
-            f"potential has not decayed at |z| = {half_width}: |V - V_inf| = {defect:.3e}; "
-            "increase the half width"
-        )
-    v_fine -= energy
-    r2_coarse = probabilities(v_fine[::2])[0]
-    r2, t2 = probabilities(v_fine)
+    # Python floats, so results and the records built from them hold floats
+    coarse, fine = np.moveaxis(_march(fam, k * k + v_inf, half_width, n_steps), -1, 0).tolist()
+    r2_coarse = probabilities(coarse)[0]
+    r2, t2 = probabilities(fine)
     drift = abs(r2 - r2_coarse)
     if not (drift <= STEP_HALVING_TOL):
         raise NumericalError(

@@ -218,13 +218,48 @@ def test_verify_section_rejects_grid_and_tol_flags_it_does_not_read(argv, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "maps", "--l-max", "3"], "--l-max"),
+    (["verify", "ladder", "--p-max", "2"], "--p-max"),
+    (["verify", "scatter", "--l-max", "3", "--p-max", "2"], "--l-max"),
+    (["verify", "spectra", "--p-max", "2"], "--p-max"),
+])
+def test_verify_section_rejects_check_ranges_it_does_not_read(argv, flag, monkeypatch,
+                                                               capsys):
+    # only ladder, relations and all read --l-max; only relations and all --p-max
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, "verify", calls.append)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: verify {argv[1]} does not read {flag}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "riccati", "--grid-points", "801"],
     ["verify", "spectra", "--grid-points", "801", "--tol", "1e-3"],
     ["verify", "all", "--grid-min=-10", "--tol", "1e-3"],
+    ["verify", "ladder", "--l-max", "3"],
+    ["verify", "relations", "--l-max", "3", "--p-max", "2"],
+    ["verify", "all", "--l-max", "3", "--p-max", "2"],
 ])
 def test_verify_section_accepts_the_flags_it_reads(argv):
     assert parse_command(argv).parameters["section"] == argv[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "relations", "--l-max", "3", "--p-max", "2"],
+    ["verify", "all", "--l-max", "3", "--p-max", "2"],
+])
+def test_verify_reading_check_ranges_exits_0(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["parameters"]["l_max"] == 3
+
+
+def test_verify_echoes_default_check_ranges(capsys):
+    # the defaults are resolved when the flags are absent, as before
+    params = parse_command(["verify", "maps"]).parameters
+    assert (params["l_max"], params["p_max"]) == (5, 4)
 
 
 def test_verify_section_takes_unread_grid_and_tol_from_the_config(tmp_path):
@@ -432,6 +467,15 @@ def test_tiny_scatter_step_exits_2_without_allocating(argv, tmp_path, capsys):
     cfg.write_text("scatter_step = 1e-12\n")
     _assert_oversized_rejected(argv + ["--config", str(cfg)], "1.6e+14 RK4 lattice points",
                                capsys)
+
+
+def test_grid_points_are_budgeted_only_where_a_grid_is_read(tmp_path, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("grid_points = 10000000000\n")
+    code, out, _ = run(["verify", "maps", "--config", str(cfg)], capsys)
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    _assert_oversized_rejected(["verify", "spectra", "--config", str(cfg)],
+                               "1e+10 grid points", capsys)
 
 
 def test_scatter_step_is_not_budgeted_where_unused(tmp_path):
@@ -703,6 +747,32 @@ def test_scatter_report_diagnostics(capsys):
     assert (diagnostics["rk4_steps_coarse"], diagnostics["rk4_steps_fine"]) == (40000, 80000)
     assert 0.0 <= diagnostics["step_halving_drift"] <= fd_oracle.STEP_HALVING_TOL
     assert run(argv, capsys)[1] == out
+
+
+# R^2, T^2, flux defect and step-halving drift of `scatter` runs, as the
+# march on four flat arrays of M - I gave them; the march in blocks moves
+# them by rounding only
+SCATTER_PINS = [
+    (["--family", "poschl-teller", "--l", "3/2", "--k", "1"],
+     0.007441950142796423, 0.9925580498572046, -1.1102230246251565e-15, 2.86316109709972e-15),
+    (["--family", "rosen-morse", "--nprime", "5/2", "--k", "2"],
+     1.3949272132892416e-05, 0.999986050727871, -3.774758283725532e-15,
+     1.8416190339202998e-17),
+    (["--family", "poschl-teller", "--l", "7/4", "--k", "0.25", "--grid-max", "15"],
+     0.39853681534099716, 0.6014631846590034, -4.440892098500626e-16, 2.6240121187015575e-13),
+    (["--family", "poschl-teller", "--l", "0", "--k", "3"],
+     4.930380657631343e-32, 1.000000000000004, -3.9968028886505635e-15,
+     1.9366382682739073e-44),
+]
+
+
+@pytest.mark.parametrize("argv,r2,t2,flux_defect,drift", SCATTER_PINS)
+def test_scatter_report_stays_pinned(argv, r2, t2, flux_defect, drift, capsys):
+    code, out, _ = run(["scatter", *argv], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    got = (rep["R2"], rep["T2"], rep["flux_defect"], rep["diagnostics"]["step_halving_drift"])
+    assert all(abs(x - pin) <= 1e-13 for x, pin in zip(got, (r2, t2, flux_defect, drift)))
 
 
 def test_eigenfunction_report(capsys):

@@ -466,74 +466,189 @@ def _sequential_march(fam, k, energy, half_width, n_steps):
     return a, b
 
 
-def _march_lattice(fam, energy, half_width, n_steps, points_per_step=2):
-    """V - E on the half-step lattice of an n_steps march from +L to -L."""
-    zs = np.linspace(half_width, -half_width, points_per_step * n_steps + 1)
-    return potential_values(fam, zs) - energy
+def _march_amplitudes(fam, k, half_width, n_steps):
+    """(A, B) of the coarse march (n_steps) and of the fine one (2 n_steps)."""
+    energy = k * k + fam.asymptotes[0]
+    total = fd_oracle._march(fam, energy, half_width, n_steps)
+    return [fd_oracle._amplitudes(p, k, half_width)
+            for p in np.moveaxis(total, -1, 0).tolist()]
+
+
+def _assert_same_probabilities(ab, ab_ref):
+    (a, b), (a_ref, b_ref) = ab, ab_ref
+    assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
+    assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
 
 
 MARCH_FAMILIES = [(PoschlTeller(Fraction(3, 2)), 1.0), (PoschlTeller(2), 0.5),
                   (RosenMorseII(Fraction(5, 2), 0), 2.0)]
 
 
-# 4097 is one odd chunk; MARCH_CHUNK + 1 and 2 * MARCH_CHUNK + 3 end in a
-# short odd chunk; 40001 is odd and crosses two chunk boundaries as well
-@pytest.mark.parametrize("n_steps", [4097, fd_oracle.MARCH_CHUNK + 1,
-                                     2 * fd_oracle.MARCH_CHUNK + 3, 40001])
+# n_steps is the coarse march's step count; the fine march takes twice as
+# many, in blocks of MARCH_BLOCK fine steps.  4097 is one block with an odd
+# number of coarse steps; MARCH_BLOCK + 1 ends in a one-step block (two fine
+# steps); 2 * MARCH_BLOCK + 3 ends in a short block of three coarse steps;
+# 40001 crosses four block boundaries and ends in a short odd block
+@pytest.mark.parametrize("n_steps", [4097, fd_oracle.MARCH_BLOCK + 1,
+                                     2 * fd_oracle.MARCH_BLOCK + 3, 40001])
 @pytest.mark.parametrize("fam,k", MARCH_FAMILIES)
 def test_step_matrix_march_matches_sequential_rk4(fam, k, n_steps):
     energy = k * k + fam.asymptotes[0]
-    a, b = fd_oracle._integrate_scattering(_march_lattice(fam, energy, 20.0, n_steps), k, 20.0)
-    a_ref, b_ref = _sequential_march(fam, k, energy, 20.0, n_steps)
-    assert isinstance(a, complex) and isinstance(b, complex)
-    assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
-    assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
+    coarse, fine = _march_amplitudes(fam, k, 20.0, n_steps)
+    assert all(isinstance(x, complex) for x in (*coarse, *fine))
+    _assert_same_probabilities(coarse, _sequential_march(fam, k, energy, 20.0, n_steps))
+    _assert_same_probabilities(fine, _sequential_march(fam, k, energy, 20.0, 2 * n_steps))
+
+
+@pytest.mark.parametrize("block", [2, 6, 8])
+@pytest.mark.parametrize("n_steps", [3, 7, 12])
+def test_march_in_small_blocks_matches_sequential_rk4(block, n_steps, monkeypatch):
+    # block = 2: every block is a one-step block; 6: blocks of three coarse
+    # steps, odd; a march whose fine steps are no multiple of the block ends short
+    monkeypatch.setattr(fd_oracle, "MARCH_BLOCK", block)
+    fam, k = PoschlTeller(Fraction(3, 2)), 1.0
+    coarse, fine = _march_amplitudes(fam, k, 20.0, n_steps)
+    energy = k * k
+    _assert_same_probabilities(coarse, _sequential_march(fam, k, energy, 20.0, n_steps))
+    _assert_same_probabilities(fine, _sequential_march(fam, k, energy, 20.0, 2 * n_steps))
 
 
 @pytest.mark.parametrize("fam,k", MARCH_FAMILIES)
 def test_coarse_march_on_every_other_fine_point(fam, k):
-    # the coarse march reads every other point of the fine march's lattice;
-    # those points differ from a directly spaced coarse lattice by rounding only
+    # the coarse march reads 4 u = 4 s_f^2 (V - E) on every other point of the
+    # fine march's lattice; s_c = 2 s_f exactly, so that is s_c^2 (V - E) to
+    # the bit, and those points differ from a directly spaced coarse lattice
+    # by rounding only
     energy = k * k + fam.asymptotes[0]
     n_steps = 40000
-    a, b = fd_oracle._integrate_scattering(
-        _march_lattice(fam, energy, 20.0, n_steps, points_per_step=4)[::2], k, 20.0)
-    a_ref, b_ref = fd_oracle._integrate_scattering(
-        _march_lattice(fam, energy, 20.0, n_steps), k, 20.0)
-    assert abs(abs(b) ** 2 / abs(a) ** 2 - abs(b_ref) ** 2 / abs(a_ref) ** 2) <= 1e-12
-    assert abs(1.0 / abs(a) ** 2 - 1.0 / abs(a_ref) ** 2) <= 1e-12
+    s_f = -2.0 * 20.0 / (2 * n_steps)
+    s_c = -2.0 * 20.0 / n_steps
+    assert s_c == 2.0 * s_f
+    v = potential_values(fam, np.linspace(20.0, -20.0, 4 * n_steps + 1))[::2] - energy
+    assert np.array_equal(4.0 * (s_f * s_f * v), s_c * s_c * v)
+    coarse, _fine = _march_amplitudes(fam, k, 20.0, n_steps)
+    u = s_c * s_c * (potential_values(fam, np.linspace(20.0, -20.0, 2 * n_steps + 1)) - energy)
+    direct = fd_oracle._ordered_product_delta(fd_oracle._rk4_step_deltas(
+        u[0:-1:2], u[1::2], u[2::2], s_c, np.empty((2, 2, n_steps))))
+    _assert_same_probabilities(coarse, fd_oracle._amplitudes(direct.tolist(), k, 20.0))
 
 
 def test_ordered_product_delta_matches_matrix_product():
     # odd lengths carry a matrix up unchanged at some level of the tree
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 5, 8, 13):
-        d = rng.normal(scale=0.1, size=(n, 2, 2))
-        expected = np.eye(2)
-        for dj in d:
-            expected = (np.eye(2) + dj) @ expected
-        got = fd_oracle._ordered_product_delta(d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1])
-        assert all(isinstance(x, float) for x in got)
-        assert np.allclose(np.reshape(got, (2, 2)), expected - np.eye(2), rtol=0.0,
-                           atol=1e-14)
+        d = rng.normal(scale=0.1, size=(2, 2, 3, n))  # three columns
+        got = fd_oracle._ordered_product_delta(d)
+        assert got.shape == (2, 2, 3)
+        for col in range(3):
+            expected = np.eye(2)
+            for j in range(n):
+                expected = (np.eye(2) + d[:, :, col, j]) @ expected
+            assert np.allclose(got[:, :, col], expected - np.eye(2), rtol=0.0, atol=1e-14)
+        # a column reduced alone gives the same bits as in the stack
+        assert np.array_equal(fd_oracle._ordered_product_delta(d[:, :, 1]), got[:, :, 1])
+
+
+def _recording_values(monkeypatch, cls):
+    """Record every z array and V array that cls.values sees."""
+    calls = []
+    real = cls.values
+
+    def recording(self, z):
+        v = real(self, z)
+        calls.append((np.array(z), np.array(v)))
+        return v
+
+    monkeypatch.setattr(cls, "values", recording)
+    return calls
 
 
 def test_scattering_reports_its_diagnostics(monkeypatch):
-    sizes = []
-    real = fd_oracle.potential_values
-
-    def counting(fam, zs):
-        sizes.append(len(zs))
-        return real(fam, zs)
-
-    monkeypatch.setattr(fd_oracle, "potential_values", counting)
-    res = scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1.0, 20.0, 1e-2)
+    fam = PoschlTeller(Fraction(3, 2))
+    calls = _recording_values(monkeypatch, PoschlTeller)
+    res = scattering_amplitudes(fam, 1.0, 20.0, 1e-2)
     # one fine half-step lattice for the tail check and both marches
-    assert sizes == [4 * 4000 + 1]
+    assert sum(len(z) for z, _v in calls) == 4 * 4000 + 1
     assert res.rk4_steps == (4000, 8000)
     assert res.step == 5e-3
     assert 0.0 < res.step_halving_drift <= fd_oracle.STEP_HALVING_TOL
-    a, b = fd_oracle._integrate_scattering(
-        _march_lattice(PoschlTeller(Fraction(3, 2)), 1.0, 20.0, 4000, points_per_step=4)[::2],
-        1.0, 20.0)
+    assert all(type(x) is float for x in (res.r2, res.t2, res.flux_defect,
+                                           res.step_halving_drift))
+    (a, b), _fine = _march_amplitudes(fam, 1.0, 20.0, 4000)
     assert res.step_halving_drift == abs(res.r2 - abs(b) ** 2 / abs(a) ** 2)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-2])
+def test_march_evaluates_each_lattice_point_once(step, monkeypatch):
+    # the blocks' lattices together are np.linspace(L, -L, 4 n + 1), each point
+    # once, bit for bit, and no call is larger than one block's lattice
+    fam = PoschlTeller(Fraction(3, 2))
+    calls = _recording_values(monkeypatch, PoschlTeller)
+    res = scattering_amplitudes(fam, 1.0, 20.0, step)
+    lattice = np.linspace(20.0, -20.0, 4 * res.rk4_steps[0] + 1)
+    assert max(len(z) for z, _v in calls) <= 2 * fd_oracle.MARCH_BLOCK + 1
+    assert np.array_equal(np.concatenate([z for z, _v in calls]), lattice)
+    monkeypatch.undo()
+    assert np.array_equal(np.concatenate([v for _z, v in calls]), fam.values(lattice))
+
+
+class _UndecayedAtOneEnd:
+    """A well with equal asymptotes 0 that has not decayed at one end."""
+
+    asymptotes = (0.0, 0.0)
+
+    def __init__(self, bad_end):
+        self.bad_end = bad_end
+        self.calls = 0
+
+    def values(self, z):
+        self.calls += 1
+        return np.where(np.sign(z) == self.bad_end, 1e-3, 0.0) * (np.abs(z) > 19.0)
+
+
+@pytest.mark.parametrize("bad_end", [1, -1])
+def test_decay_checked_at_both_ends(bad_end):
+    # +L is checked on the first block's lattice, -L on the last block's,
+    # before either block is marched
+    fam = _UndecayedAtOneEnd(bad_end)
+    with pytest.raises(NumericalError, match=r"has not decayed at \|z\| = 20.0: "
+                                             r"\|V - V_inf\| = 1\.000e-03"):
+        scattering_amplitudes(fam, 1.0, 20.0, 1e-3)
+    blocks = -(-80000 // fd_oracle.MARCH_BLOCK)
+    assert fam.calls == (1 if bad_end == 1 else blocks)
+
+
+# R^2, T^2, flux defect and step-halving drift of the twelve `verify scatter`
+# cases (half width 20, step 1e-3), as the march on four flat arrays of
+# M - I gave them; the march in blocks moves them by rounding only
+VERIFY_SCATTER_PINS = [
+    ("1", 0.5, 6.040486677576128e-30, 1.0000000000000002, -2.220446049250313e-16,
+     6.428476820452596e-28),
+    ("1", 1.0, 2.411264290372817e-31, 0.9999999999999987, 1.3322676295501878e-15,
+     6.441157143206463e-29),
+    ("1", 2.0, 4.938084377408865e-31, 0.9999999999999987, 1.3322676295501878e-15,
+     1.025365102391827e-30),
+    ("2", 0.5, 7.870150939623113e-28, 1.0, 0.0, 2.105101487414647e-25),
+    ("2", 1.0, 6.983884201534769e-29, 0.9999999999999996, 4.440892098500626e-16,
+     1.8816076904271898e-26),
+    ("2", 2.0, 2.7887465594727175e-30, 1.0, 0.0, 3.7649696334036967e-28),
+    ("3", 0.5, 2.1212057592384923e-26, 1.0000000000000007, -6.661338147750939e-16,
+     5.378722735795502e-24),
+    ("3", 1.0, 1.3042836695417698e-27, 1.0000000000000007, -6.661338147750939e-16,
+     3.195918741187531e-25),
+    ("3", 2.0, 1.482195685200422e-30, 1.0000000000000036, -3.552713678800501e-15,
+     2.453147874059675e-27),
+    ("1/2", 1.0, 0.007441950142796117, 0.9925580498572055, -1.5543122344752192e-15,
+     4.380176776841438e-16),
+    ("3/2", 1.0, 0.007441950142796423, 0.9925580498572046, -1.1102230246251565e-15,
+     2.86316109709972e-15),
+    ("5/2", 1.0, 0.0074419501427960884, 0.9925580498572042, -2.220446049250313e-16,
+     6.019490461639521e-16),
+]
+
+
+@pytest.mark.parametrize("depth,k,r2,t2,flux_defect,drift", VERIFY_SCATTER_PINS)
+def test_verify_scatter_cases_stay_pinned(depth, k, r2, t2, flux_defect, drift):
+    res = scattering_amplitudes(PoschlTeller(Fraction(depth)), k, 20.0, 1e-3)
+    got = (res.r2, res.t2, res.flux_defect, res.step_halving_drift)
+    assert all(abs(x - pin) <= 1e-13 for x, pin in zip(got, (r2, t2, flux_defect, drift)))
