@@ -389,9 +389,8 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
     """
     v_inf = fam.asymptotes[0]
     steps = 2 * n_steps
-    count = 2 * steps + 1
     s = -2.0 * half_width / steps
-    dz = -2.0 * half_width / (count - 1)  # linspace's step
+    dz = -2.0 * half_width / (2 * steps)  # linspace's (stop - start) / (points - 1)
     block = min(MARCH_BLOCK, steps)
     # the call's buffers are views of one allocation: measured with getrusage,
     # separate buffers cost about 670 minor page faults per default call, one
