@@ -578,14 +578,16 @@ def test_scattering_reports_its_diagnostics(monkeypatch):
     assert res.step_halving_drift == abs(res.r2 - abs(b) ** 2 / abs(a) ** 2)
 
 
-@pytest.mark.parametrize("step", [1e-3, 1e-2])
-def test_march_evaluates_each_lattice_point_once(step, monkeypatch):
+# 40000 and 4000 are the coarse step counts of steps 1e-3 and 1e-2; on 77
+# steps j dz + L misses -L at the last point, which linspace sets to -L
+@pytest.mark.parametrize("n_steps", [40000, 4000, 77])
+def test_march_evaluates_each_lattice_point_once(n_steps, monkeypatch):
     # the blocks' lattices together are np.linspace(L, -L, 4 n + 1), each point
     # once, bit for bit, and no call is larger than one block's lattice
     fam = PoschlTeller(Fraction(3, 2))
     calls = _recording_values(monkeypatch, PoschlTeller)
-    res = scattering_amplitudes(fam, 1.0, 20.0, step)
-    lattice = np.linspace(20.0, -20.0, 4 * res.rk4_steps[0] + 1)
+    fd_oracle._march(fam, 1.0, 20.0, n_steps)
+    lattice = np.linspace(20.0, -20.0, 4 * n_steps + 1)
     assert max(len(z) for z, _v in calls) <= 2 * fd_oracle.MARCH_BLOCK + 1
     assert np.array_equal(np.concatenate([z for z, _v in calls]), lattice)
     monkeypatch.undo()
