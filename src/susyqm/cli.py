@@ -49,6 +49,21 @@ DEFORMED_TOL = 1e-5
 # over, a bound on its work: the march streams the lattice in blocks)
 SIZE_CAP = 2_000_000
 GRID_KEYS = ("grid_min", "grid_max", "grid_points")
+# every key each subcommand, verify section and family reads; a command reads
+# the union of its own, its sections' and its family's.  A default is filled in
+# only for a key the command reads and a flag it does not read exits 2, so the
+# echo holds exactly what the run used.
+READS = {
+    "spectrum": ("family",), "eigenfunction": ("family", "n", "z"), "map": ("gamma", "z"),
+    "verify": ("section",), "scatter": ("family", "k", "grid_max", "scatter_step"),
+    "oracle": ("family", *GRID_KEYS, "tol"),
+    "deformed": ("alpha", "beta", "n", *GRID_KEYS, "tol"),
+    "verify riccati": GRID_KEYS, "verify ladder": ("l_max",),
+    "verify relations": ("l_max", "p_max"), "verify spectra": (*GRID_KEYS, "tol"),
+    "verify scatter": ("scatter_half_width", "scatter_step"),
+    "verify shape-invariance": (), "verify maps": (), "verify deformed": (),
+    "poschl-teller": ("l",), "rosen-morse": ("nprime", "B"), "gegenbauer": ("p", "q"),
+}
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -139,7 +154,7 @@ def _parser() -> argparse.ArgumentParser:
                        **family_kwargs)
         p.add_argument("--l", type=_fraction, default=None)
         p.add_argument("--nprime", type=_fraction, default=None)
-        p.add_argument("--B", type=_fraction, default=Fraction(0))
+        p.add_argument("--B", type=_fraction, default=None)
 
     p = sub.add_parser("spectrum", help="closed-form bound levels of a family")
     add_family(p, "gegenbauer", required=True)
@@ -207,25 +222,24 @@ def parse_command(argv: list[str]) -> Command:
         for key, value in vars(args).items()
         if key not in ("format", "output", "config", "subcommand") and value is not None
     }
-    flags = [key for key in (*GRID_KEYS, "tol", "l_max", "p_max")
-             if key in params]  # before any default
-    if sub in ("verify", "oracle"):
-        for key in (*GRID_KEYS, "tol"):
-            params.setdefault(key, config[key])
-    if sub == "verify":
-        params.setdefault("l_max", 5)
-        params.setdefault("p_max", 4)
-        # an empty range would run no check and still report a pass
-        if params["l_max"] < 1:
-            raise UsageError(f"--l-max must be at least 1, got {params['l_max']}")
-        if params["p_max"] < 0:
-            raise UsageError(f"--p-max must be nonnegative, got {params['p_max']}")
-        params.setdefault("scatter_half_width", config["scatter_half_width"])
-        params.setdefault("scatter_step", config["scatter_step"])
+    # a NaN, infinite or negative tolerance would fail or pass every check (a
+    # config file is checked whatever the command reads), and an empty range
+    # would run no check and still report a pass
+    for tol in (config["tol"], params.get("tol", 0.0)):
+        if not 0.0 <= tol < math.inf:
+            raise UsageError(f"tol must be finite and nonnegative, got {tol!r}")
+    if params.get("l_max", 1) < 1:
+        raise UsageError(f"--l-max must be at least 1, got {params['l_max']}")
+    if params.get("p_max", 0) < 0:
+        raise UsageError(f"--p-max must be nonnegative, got {params['p_max']}")
+    reads = _reads(sub, params)
+    if unread := [key for key in params if key not in reads]:
+        reader = (f"verify {params['section']}" if "section" in params
+                  else f"{sub} --family {params['family']}")
+        raise UsageError(f"{reader} does not read --{unread[0].replace('_', '-')}")
     if sub == "scatter":
         # --grid-max doubles as the integration half width here
         params.setdefault("grid_max", config["scatter_half_width"])
-        params.setdefault("scatter_step", config["scatter_step"])
     if sub == "deformed":
         params.setdefault("tol", DEFORMED_TOL)
         given = [key for key in GRID_KEYS if key in params]
@@ -234,13 +248,8 @@ def parse_command(argv: list[str]) -> Command:
         if not given:
             grid = _deformed_default_grid(params["alpha"], params["beta"])
             params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
-    # a NaN, infinite or negative tolerance would fail or pass every check
-    if "tol" in params and not 0.0 <= params["tol"] < math.inf:
-        raise UsageError(f"tol must be finite and nonnegative, got {params['tol']!r}")
-    reads = _reads(sub, params)
-    if sub == "verify" and (unread := [key for key in flags if key not in reads]):
-        raise UsageError(f"verify {params['section']} does not read "
-                         f"--{unread[0].replace('_', '-')}")
+    defaults = config | {"l_max": 5, "p_max": 4, "B": Fraction(0)}
+    params = {key: defaults[key] for key in reads if key in defaults} | params
     for what, size in _request_sizes(sub, params):
         if size > SIZE_CAP:
             try:
@@ -257,24 +266,26 @@ def parse_command(argv: list[str]) -> Command:
 
 
 def _reads(sub: str, params: dict) -> set:
-    """The grid, tolerance and check-range keys a command reads."""
+    """The keys a command reads: its own, its verify sections' and its family's."""
+    names = [sub, params.get("family")]
     if sub == "verify":
-        section = params["section"]
-        return {key for name in (VERIFY_SECTIONS if section == "all" else (section,))
-                for key in SECTION_READS[name]}
-    return {*GRID_KEYS, "tol"} if sub in ("oracle", "deformed") else set()
+        names += [f"verify {name}" for name in VERIFY_SECTIONS
+                  if params["section"] in (name, "all")]
+    return {key for name in names for key in READS.get(name, ())}
 
 
 def _request_sizes(sub: str, params: dict):
     """(what, size) of everything a command would build or march over per
     level, grid point or RK4 lattice point, computed without allocating any of
-    it.  Grid points count only where the command reads a grid."""
+    it.  Grid points and the RK4 lattice count only where the command reads
+    them."""
+    reads = _reads(sub, params)
     if sub in ("spectrum", "oracle"):
         # levels() is range(count); .stop is count even past len()'s limit
         yield "levels", _family(params).levels().stop
-    if "grid_points" in _reads(sub, params):
+    if "grid_points" in reads:
         yield "grid points", params["grid_points"]
-    if sub == "scatter" or (sub == "verify" and params["section"] in ("scatter", "all")):
+    if "scatter_step" in reads:
         half_width = params["grid_max" if sub == "scatter" else "scatter_half_width"]
         step = params["scatter_step"]
         # other values are rejected by scattering_amplitudes, with its own message
@@ -500,6 +511,13 @@ def _fd_vs_closed_form(fams: list[PoschlTeller | RosenMorseII], grid: fd_oracle.
             for fam, lv, ev in zip(fams, levels, evs)]
 
 
+def _fd_record(check_id: str, exact: list[float], evs: list[float], tol: float) -> dict:
+    """The largest |FD - closed form| over the levels; a count mismatch fails."""
+    count_ok = len(evs) == len(exact)
+    worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
+    return check(check_id, worst, 0.0, tol, "fd-oracle", passed=count_ok and worst <= tol)
+
+
 def checks_spectra(params: dict) -> list[dict]:
     tol = params["tol"]
     tilted = [RosenMorseII(n_prime, b) for n_prime, b in (
@@ -507,18 +525,12 @@ def checks_spectra(params: dict) -> list[dict]:
     solved = _fd_vs_closed_form([PoschlTeller(l) for l in range(1, 6)] + tilted, _grid(params))
     out = []
     for l, (_levels, exact, evs) in zip(range(1, 6), solved):
-        count_ok = len(evs) == len(exact)
-        worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
-        out.append(check(f"fd-vs-closed-form-sech-l-{l}", worst, 0.0, tol, "fd-oracle",
-                         passed=count_ok and worst <= tol))
+        out.append(_fd_record(f"fd-vs-closed-form-sech-l-{l}", exact, evs, tol))
         out.append(check(f"fd-level-count-sech-l-{l}", len(evs), len(exact), 0,
                          "fd-oracle"))
     for fam, (levels, exact, evs) in zip(tilted, solved[5:]):
         n_prime, b = fam.n_prime, fam.B
-        count_ok = len(evs) == len(exact)
-        worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
-        out.append(check(f"fd-vs-closed-form-tilted-{n_prime}-{b}", worst, 0.0, tol,
-                         "fd-oracle", passed=count_ok and worst <= tol))
+        out.append(_fd_record(f"fd-vs-closed-form-tilted-{n_prime}-{b}", exact, evs, tol))
         resid_ok = all(
             eigen_residual_symbolic(fam.eigenfunction(n), fam, fam.energy(n)).is_zero
             for n in levels
@@ -604,14 +616,6 @@ SECTION_RUNNERS = {
     "scatter": checks_scatter,
 }
 VERIFY_SECTIONS = tuple(SECTION_RUNNERS)
-# the grid, tolerance and check-range keys each section reads; its other
-# flags are rejected
-SECTION_READS = dict.fromkeys(SECTION_RUNNERS, ()) | {
-    "riccati": GRID_KEYS,
-    "ladder": ("l_max",),
-    "relations": ("l_max", "p_max"),
-    "spectra": (*GRID_KEYS, "tol"),
-}
 
 
 # ----------------------------------------------------------------------------
@@ -723,18 +727,12 @@ def run_deformed(params: dict) -> dict:
 
 
 def run_verify(params: dict) -> dict:
-    section = params["section"]
-    names = VERIFY_SECTIONS if section == "all" else (section,)
-    sections = {}
-    total = failed = 0
-    for name in names:
-        results = SECTION_RUNNERS[name](params)
-        sections[name] = results
-        total += len(results)
-        failed += sum(not c["pass"] for c in results)
+    sections = {name: SECTION_RUNNERS[name](params) for name in VERIFY_SECTIONS
+                if params["section"] in (name, "all")}
+    checks = [c for results in sections.values() for c in results]
     return {
         "sections": sections,
-        "summary": {"total": total, "failed": failed},
+        "summary": {"total": len(checks), "failed": sum(not c["pass"] for c in checks)},
     }
 
 

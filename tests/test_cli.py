@@ -256,18 +256,73 @@ def test_verify_reading_check_ranges_exits_0(argv, capsys):
     assert json.loads(out)["parameters"]["l_max"] == 3
 
 
-def test_verify_echoes_default_check_ranges(capsys):
-    # the defaults are resolved when the flags are absent, as before
-    params = parse_command(["verify", "maps"]).parameters
-    assert (params["l_max"], params["p_max"]) == (5, 4)
+def test_verify_echoes_default_check_ranges():
+    # a default check range is resolved, and echoed, only where it is read
+    assert parse_command(["verify", "maps"]).parameters == {"section": "maps"}
+    assert parse_command(["verify", "ladder"]).parameters == {"section": "ladder", "l_max": 5}
+    assert parse_command(["verify", "relations"]).parameters == {
+        "section": "relations", "l_max": 5, "p_max": 4}
 
 
-def test_verify_section_takes_unread_grid_and_tol_from_the_config(tmp_path):
-    # config values are shared by every subcommand, so they are not flags
+def test_verify_section_leaves_unread_grid_and_tol_of_the_config(tmp_path):
+    # a config file serves every subcommand; a section echoes only what it reads
     cfg = tmp_path / "susyqm.conf"
     cfg.write_text("grid_points = 3\ntol = 0\n")
-    params = parse_command(["verify", "maps", "--config", str(cfg)]).parameters
+    assert parse_command(["verify", "maps", "--config", str(cfg)]).parameters == {
+        "section": "maps"}
+    params = parse_command(["verify", "spectra", "--config", str(cfg)]).parameters
     assert (params["grid_points"], params["tol"]) == (3, 0.0)
+
+
+UNREAD_FAMILY_FLAGS = [
+    (["spectrum", "--family", "poschl-teller", "--l", "2", "--nprime", "3"],
+     "spectrum --family poschl-teller does not read --nprime"),
+    (["oracle", "--family", "poschl-teller", "--l", "2", "--B", "7"],
+     "oracle --family poschl-teller does not read --B"),
+    (["eigenfunction", "--family", "rosen-morse", "--nprime", "5", "--n", "0", "--l", "4"],
+     "eigenfunction --family rosen-morse does not read --l"),
+    (["spectrum", "--family", "rosen-morse", "--nprime", "2", "--l", "9", "--p", "1",
+      "--q", "3/2"], "spectrum --family rosen-morse does not read --l"),
+    (["scatter", "--l", "2", "--B", "0", "--k", "1"],
+     "scatter --family poschl-teller does not read --B"),
+    (["spectrum", "--family", "gegenbauer", "--p", "1", "--q", "2", "--B", "0"],
+     "spectrum --family gegenbauer does not read --B"),
+]
+
+
+@pytest.mark.parametrize("argv,message", UNREAD_FAMILY_FLAGS,
+                         ids=[" ".join(argv[:3]) for argv, _m in UNREAD_FAMILY_FLAGS])
+def test_family_flag_the_family_does_not_read_exits_2(argv, message, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, argv[0], calls.append)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: {message}\n"
+
+
+def _subparsers() -> dict:
+    [action] = [a for a in cli._parser()._actions if a.dest == "subcommand"]
+    return action.choices
+
+
+def test_reads_table_matches_the_parser():
+    # every key the table names is a flag of the subcommand or a config key, and
+    # every flag a subcommand defines is read by it, one of its verify sections
+    # or one of its families, so the parser and the table cannot drift apart
+    for sub, parser in _subparsers().items():
+        actions = {a.dest: a for a in parser._actions}
+        flags = set(actions) - {"help", "format", "output", "config"}
+        names = [sub]
+        if sub == "verify":
+            names += [f"verify {section}" for section in cli.VERIFY_SECTIONS]
+        if "family" in actions:
+            names += actions["family"].choices
+        for name in names:
+            assert set(cli.READS[name]) <= flags | set(cli.CONFIG_DEFAULTS), name
+        assert flags <= {key for name in names for key in cli.READS[name]}, sub
+    assert set(cli.READS) == set(_subparsers()) | {
+        f"verify {section}" for section in cli.VERIFY_SECTIONS} | {
+        "poschl-teller", "rosen-morse", "gegenbauer"}
 
 
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):
@@ -502,11 +557,11 @@ def test_defaults_stay_far_below_size_cap(argv):
 
 fuzz_rationals = st.builds(lambda num, den: str(Fraction(num, den)),
                            st.integers(-300, 300), st.integers(1, 4))
-fuzz_family = st.builds(
-    lambda family, l, nprime, b: ["--family", family, f"--l={l}", f"--nprime={nprime}",
-                                  f"--B={b}"],
-    st.sampled_from(["poschl-teller", "rosen-morse"]), fuzz_rationals, fuzz_rationals,
-    fuzz_rationals)
+# each family with only the flags it reads; an unread one would stop at exit 2
+fuzz_family = st.one_of(
+    st.builds(lambda l: ["--family", "poschl-teller", f"--l={l}"], fuzz_rationals),
+    st.builds(lambda nprime, b: ["--family", "rosen-morse", f"--nprime={nprime}", f"--B={b}"],
+              fuzz_rationals, fuzz_rationals))
 # alpha, beta on quarter steps keep every deformed default grid small
 fuzz_quarters = st.integers(-8, 16).map(lambda i: i / 4)
 fuzz_argv = st.one_of(
@@ -533,6 +588,7 @@ fuzz_config = st.none() | st.sampled_from([
 @example(argv=["spectrum", *PT, "--l=-3"], config=None)
 @example(argv=["spectrum", *PT, "--l=1"], config="grid_points = abc\n")
 @example(argv=["spectrum", *PT, "--l=1e400"], config=None)
+@example(argv=["oracle", *PT, "--l=2", "--B=7"], config=None)  # a flag the family does not read
 @example(argv=["eigenfunction", *PT, "--l=200", "--n=199", "--z=0.0"], config=None)
 # numpy overflow warnings of the RK4 march must not reach stderr
 @example(argv=["scatter", *PT, "--l=2", "--k=1e300"], config=None)
@@ -606,20 +662,21 @@ def test_spectrum_csv_rows(capsys):
 
 
 # sha256 of the exact stdout of `spectrum`, taken when the rows still came
-# from a per-level entry list
+# from a per-level entry list; the sech and ultraspherical ones re-taken when
+# their echo dropped the --B they never read, and nothing else changed
 SPECTRUM_GOLDEN = [
     ("poschl-teller", "--l 0",
-     "2b4cc274a077fb3c28114816851d4dd50b04d99828a0e59290e68d7ea35807d9",
-     "4ba62387e01df16bc4f835459072d76baa7699057674c331870ba2dd9615a16e"),
+     "2a928d633084903b7cb4412946ffee47eff767743103cb0aa20e9335c606bf9b",
+     "bb98e4b0d356506362918588cf9aaa9bc367db920382a92e3305d77db52a6a30"),
     ("poschl-teller", "--l 1",
-     "2a5d3d0e57b59d36ae82c3fee113a296e1037e68f31c29d76c4b8cd77851b797",
-     "12c0e9f04d65f9e22f325517099f052f9fd1617bf7bd0ab11675c0776770fe4e"),
+     "fbd1fb29e2edcc70e34023196a203f87496d3cde7dd04ff5ad6fef3a83409e27",
+     "09d4abaf50d56aad4856a7df44512bb3f34ef5edcb6e0c640d737ebf6f737670"),
     ("poschl-teller", "--l 5/2",
-     "92bbec9729291a968b276cff1ea609179d136b5bda7718a9fd154fe1861e1391",
-     "c4cda0c397c0ecf737b6028774eb2da635627bdc2473de9ef16f4471ea9601f7"),
+     "a9ed4d6b5da6142751179c0e46e6fd264c6d14dc0756d4e0266eb8729fc938ac",
+     "1528dd6d1835195766248a3dd4195a5100bc3f6668a137119fff5cb8b57d3762"),
     ("poschl-teller", "--l 3",
-     "7446369079a34c6f480498c596366c75a77b6737a671491e70235ca027070abf",
-     "cdf086987189785eac4d37fee5df8d159cdf6dd60863b7f12ac069802cce83aa"),
+     "df8ad13a290ff742fd5139d2e84eef226f34cca81de72fbfebb3f94f61a7b238",
+     "d0ad35eb57ddc1df7f511c4d8a4dc0ceb59c89af218d9d968366d95e376cd8e8"),
     ("rosen-morse", "--nprime 2 --B 1",
      "cc300e945e1688efd021b990518f7c86ddefa1d10f30c5f4eecc971d99a50657",
      "2ec3a38718e24153eaf5f85960baf3abf827d7e1bb9d7617b94c6e275a43832a"),
@@ -627,14 +684,14 @@ SPECTRUM_GOLDEN = [
      "f8fa95f88bb764d6977fad63cc1db06411133f65952a15e3513b5a716f2c1d73",
      "eaa196218110fd603590be5a193d75f7bfd4e137457f4862053ffa4d7b2fa176"),
     ("gegenbauer", "--p 0 --q 3/2",
-     "6ad56d9f4a5b6d596b562f1e6c656578a01767cef7d4d8b72368760a5648cf09",
-     "a8a5678124526ade4fd16377bac3fe6dbf06b66259e667b46ad850f28ff12f22"),
+     "754e5144f497d016daa5a1845e16e2e4e09e603b4e5e666496ac0b7b4e0efdf8",
+     "1c13cce4f201da75ef4d83292ce7dce21a549a9b6b296508763b7c5fce54246f"),
     ("gegenbauer", "--p 1 --q 2",
-     "d45b1282fa9fe5e81c7c97db7436421c47d5ffd0a32d6fb85ba41195e6f90362",
-     "036bcb9fd50cdcb06565cf822ec17f66048ac169aa4107f05ab115a7624cbe5e"),
+     "f18ed50b1b4f244026101569e39faba25ca64932296bdfc7ccffc094a6ec2a8f",
+     "63c2c887a0bf46ed4aa46208d9a9ae1f92dcf5b6f036a3a30d2f5507ca23a3d8"),
     ("gegenbauer", "--p 2 --q 3/2",
-     "95b140d43d135241295a594c0964dba474b61107281261d0603a462cd1296975",
-     "d207daa276d9e8a16df6a65406274db41f71fcc9589d182701604d67b36c9903"),
+     "f8e3bca166186ac48b887b42d4d6bbdde2d76fc15965ea978b2ed960bd06e3d2",
+     "1c0f6d227364264c925ac0a90e677112626c0aedf604d70beb524d749c2b623f"),
 ]
 
 
@@ -654,16 +711,18 @@ def test_spectrum_golden(family, flags, json_sha, csv_sha, capsys):
 # 41 brackets (the l = 40 grid resolves one level too many, so it exits 1), a
 # tilted well, and the eight wells of `verify spectra` on a coarse grid.
 # Taken when the Sturm counts still ran one row at a time with the pivot
-# floor at every row.
+# floor at every row; the sech wells and `verify spectra` re-taken when the
+# echo dropped the keys they never read (--B; l_max, p_max, scatter_*), and
+# nothing else changed.
 EIGEN_GOLDEN = [
     ("oracle --family poschl-teller --l 20", 1,
-     "54ca6cdd2aa7428025ca261b39c13f80eb3cb30d755d786761187f7fb32ac2c2"),
+     "3945bb049b65af974dbf1377e00a834cadc273895cb4a06c01ee2d4613867a99"),
     ("oracle --family poschl-teller --l 40", 1,
-     "1750bc8a2d33a4d8bc397d14353fa112ae2c04b8eb54baefcf6f4030bf400a09"),
+     "bbbb1e5965f44af1654fedee3f1bd972ad9213ebcc99158a40faf54d5d97a0a8"),
     ("oracle --family rosen-morse --nprime 7/2 --B 3", 0,
      "badc7e9dd0c1217aeb40d4305ea92e3a956420cdd47a7c8ea164f320d0f8a2df"),
     ("verify spectra --grid-points 801", 1,
-     "79e4d0293018328543e5f79883f90489aa8aee18b4db18c954414a6a6d61920b"),
+     "c7c22680668235e5c63d1cc5a18db70717961786f0312838bb54bb7e0282b77f"),
 ]
 
 
@@ -678,7 +737,8 @@ def test_eigen_golden(command, exit_code, sha, capsys):
 
 # sha256 of the exact stdout, and the exit code, of `map` and `deformed`,
 # taken when each scalar map function had its own copy of the formula and
-# `deformed` its own chart test
+# `deformed` its own chart test; `verify deformed` re-taken when its echo
+# dropped the grid, tolerance and check-range keys it never read
 MAP_DEFORMED_GOLDEN = [
     ("map --gamma 2 --z 1.5", 0,
      "2e66dcb44ca6ed89ac63e965e7649c5f425183a106a921592b99b49745de2789"),
@@ -697,7 +757,7 @@ MAP_DEFORMED_GOLDEN = [
     ("deformed --alpha 1 --beta 1", 0,
      "4fcec2799f33f6836be6c81a5ca1ca99dcf64da0d847e46a840c4e7f58e0f396"),
     ("verify deformed", 0,
-     "4a85f2aa27bdcc18af04b859efbdedd1526e3e9aad1bdd6b6d9de24679e30c36"),
+     "1fa376e37663f1daa4c716ee7d3f39a2342b905b7d5a7d04f6b6d0160466c6c3"),
 ]
 
 
@@ -979,6 +1039,11 @@ def argv_from_report(rep):
     ["map", "--gamma", "-0.5", "--z", "1.25"],
     ["oracle", "--family", "poschl-teller", "--l", "2", "--grid-points", "801"],
     ["deformed", "--alpha", "0.5", "--beta", "1.5", "--n", "2"],
+    ["verify", "maps"],
+    ["verify", "riccati"],
+    ["verify", "ladder", "--l-max", "2"],
+    ["verify", "scatter"],
+    ["verify", "deformed"],
 ])
 def test_report_roundtrip_reproduces_itself(argv, capsys):
     code, first, _ = run(argv, capsys)
