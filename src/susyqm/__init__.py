@@ -25,7 +25,7 @@ from .susy_core import (
 )
 from .tanh_algebra import (
     HypWave, TanhPoly, apply_ladder, apply_lowering, as_fraction,
-    eigen_residual_symbolic, eval_wave, ladder_chain,
+    eigen_residual_symbolic, eval_wave, ladder_chain, ladder_tower,
 )
 
 __version__ = "0.1.0"

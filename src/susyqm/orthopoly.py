@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tanh_algebra import HypWave, TanhPoly, as_fraction, ladder_chain
+from .tanh_algebra import HypWave, TanhPoly, as_fraction, ladder_tower
 
 
 class ProportionalityError(ValueError):
@@ -28,8 +28,9 @@ def jacobi_poly(n: int, alpha, beta) -> TanhPoly:
     Three-term recurrence seeded by P_0 = 1 and
     P_1 = (alpha + 1) + (alpha + beta + 2)(t - 1)/2; requires alpha, beta > -1.
     With alpha = A/d and beta = B/d the recurrence coefficients c0..c3 times
-    d^3 are integers, so the loop runs on int vectors over one int
-    denominator, P_j = u_j / e_j, with one gcd pass per step.
+    d^3 are integers.  The loop carries P_j = u_j / e_j with e_j = c0_j e_(j-1),
+    so c0_(j+1) e_j P_(j+1) = (c1 + c2 t) u_j - c3 c0_j u_(j-1) is an int
+    vector with no division, and the only gcd is the final normalisation.
     """
     n = int(n)
     if n < 0:
@@ -43,23 +44,18 @@ def jacobi_poly(n: int, alpha, beta) -> TanhPoly:
     d = math.lcm(a.denominator, b.denominator)
     A = a.numerator * (d // a.denominator)
     B = b.numerator * (d // b.denominator)
-    u_prev, e_prev = [1], 1
-    u_cur, e_cur = [A - B, A + B + 2 * d], 2 * d
+    u_prev, u_cur = [1], [A - B, A + B + 2 * d]
+    c0_cur = e = 2 * d  # P_1 = u_1 / (2d)
     for j in range(2, n + 1):
         s = 2 * j * d + A + B  # d (2j + alpha + beta)
         c0 = 2 * j * (j * d + A + B) * (s - 2 * d) * d
         c1 = (s - d) * (A * A - B * B)
         c2 = (s - d) * s * (s - 2 * d)
-        c3 = 2 * (j * d + A - d) * (j * d + B - d) * s
-        # c0 P_j = (c1 + c2 t) P_(j-1) - c3 P_(j-2)
-        f1, f2, f3 = c1 * e_prev, c2 * e_prev, c3 * e_cur
-        u_next = [f1 * x + f2 * y - f3 * z for x, y, z in
-                  zip(u_cur + [0], [0] + u_cur, u_prev + [0, 0])]
-        e_next = c0 * e_cur * e_prev
-        g = math.gcd(e_next, *u_next)
-        u_prev, e_prev = u_cur, e_cur
-        u_cur, e_cur = [v // g for v in u_next], e_next // g
-    return TanhPoly(u_cur) * Fraction(1, e_cur)
+        c3 = 2 * (j * d + A - d) * (j * d + B - d) * s * c0_cur
+        u_prev, u_cur = u_cur, [c1 * x + c2 * y - c3 * z for x, y, z in
+                                zip(u_cur + [0], [0] + u_cur, u_prev + [0, 0])]
+        c0_cur, e = c0, e * c0
+    return TanhPoly._from_ints(u_cur, 1, e)
 
 
 def jacobi_values(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -161,12 +157,14 @@ def proportionality_constant(w1: HypWave, w2: HypWave) -> Fraction:
     return w1.prefactor / w2.prefactor
 
 
-def legendre_links(l: int, ms) -> list[Fraction]:
+def legendre_links(l: int, ms, towers) -> list[Fraction]:
     """Exact constants linking (1-t^2)^(m/2) d^m P_l to the ladder-built level l-m.
 
     One constant per m in ms, in order, all read from one derivative chain of
-    P_l.  Both sides are closed-form waves over t = tanh z; they must be
-    exactly proportional for every 1 <= m <= l.
+    P_l.  The ladder side is towers[m][l - m], where towers[m] is
+    ladder_tower(m, k) for some k >= l - m, so one tower per depth serves every
+    l.  Both sides are closed-form waves over t = tanh z; they must be exactly
+    proportional for every 1 <= m <= l.
     """
     l, ms = int(l), [int(m) for m in ms]
     for m in ms:
@@ -174,13 +172,14 @@ def legendre_links(l: int, ms) -> list[Fraction]:
             raise ValueError(f"need 1 <= m <= l, got (l, m) = ({l}, {m})")
     chain = legendre_derivatives(l, max(ms, default=0))
     return [proportionality_constant(HypWave(Fraction(m, 2), Fraction(m, 2), chain[m]),
-                                     ladder_chain(l, l - m))
+                                     towers[m][l - m])
             for m in ms]
 
 
 def check_legendre_identity(l: int, m: int) -> Fraction:
     """The constant of legendre_links for one m."""
-    return legendre_links(l, [m])[0]
+    towers = {m: ladder_tower(m, l - m)} if 1 <= m <= l else {}  # legendre_links rejects the rest
+    return legendre_links(l, [m], towers)[0]
 
 
 def check_gegenbauer_identity(p: int, q) -> Fraction:

@@ -7,6 +7,12 @@ residuals can all be carried out with exact rational coefficients (held as
 ints times one rational content); a closed form is an eigenfunction if and
 only if its residual polynomial is identically zero, with no tolerances
 involved.
+
+Normalise once: a loop that builds one result (the ladder chain, the Jacobi
+recurrence in orthopoly, the eigen-residual) runs on unnormalised int lists
+over one int denominator and takes its gcd only at the end, in
+TanhPoly._from_ints.  The canonical split is unique, so the result has the
+same fields as one normalised at every step.
 """
 
 from __future__ import annotations
@@ -462,8 +468,60 @@ def apply_lowering(k, w: HypWave) -> HypWave:
     return -apply_ladder(-as_fraction(k), w)
 
 
+def _ladder_halves(depth: Fraction, n: int):
+    """Yield, for j = 0 .. n, the nonzero half of the chain polynomial after j
+    raising steps at depth δ: (-1)^j / D^j times the int list h, where h[k] is
+    the coefficient of t^(j % 2 + 2k) and D is the denominator of δ.
+
+    As in apply_ladder, raising by k = δ + 1 + j at weights δ/2 is -_d_poly at
+    exponents (2δ + 1 + j)/2, and with δ = N/D the t^i coefficient of that
+    _d_poly times -D is D (i+1) p_(i+1) - (2N + (i+j) D) p_(i-1).  Step j's
+    polynomial has parity (-1)^j, so only every other power is carried, and
+    no gcd is taken.
+    """
+    N, D = depth.numerator, depth.denominator
+    h = [1]
+    yield h
+    for j in range(n):
+        r = (j + 1) % 2  # parity of the next degree
+        pad = [0, *h, 0]
+        h = [D * (i + 1) * hi - (2 * N + (i + j) * D) * lo
+             for i, lo, hi in zip(range(r, j + 2, 2), pad[r:], pad[r + 1:])]
+        yield h
+
+
+def _ladder_wave(depth: Fraction, j: int, h: list[int]) -> HypWave:
+    """The wave of _ladder_halves' entry j: one normalisation of the raw ints."""
+    ints = [0] * (j + 1)
+    ints[j % 2::2] = h
+    half = depth / 2
+    return HypWave(half, half, TanhPoly._from_ints(ints, (-1) ** j, depth.denominator ** j))
+
+
+def _chain_depth(depth, n: int) -> tuple[Fraction, int]:
+    depth, n = as_fraction(depth), int(n)
+    if n < 0:
+        raise ValueError("level index n must be nonnegative")
+    if depth < 0:
+        raise ValueError(
+            f"n' - n = {depth} < 0: no such state in the depth-{depth + n} well"
+        )
+    return depth, n
+
+
+def ladder_tower(depth, n: int) -> list[HypWave]:
+    """[ladder_chain(depth + j, j) for j = 0 .. n], from one chain.
+
+    ladder_chain(n', n) seeds sech^(n'-n) z and raises it n times, so the
+    states of the wells n' = depth, depth + 1, ... that share the weight
+    sech^depth z are the prefixes of one chain: n raising steps, not n^2/2.
+    """
+    depth, n = _chain_depth(depth, n)
+    return [_ladder_wave(depth, j, h) for j, h in enumerate(_ladder_halves(depth, n))]
+
+
 def ladder_chain(n_prime, n: int) -> HypWave:
-    """Unnormalized n-th state of the depth-n' sech^2 well.
+    """Unnormalized n-th state of the depth-n' sech^2 well; ladder_tower's last entry.
 
     Builds sech^(n'-n) z and applies the raising operators with coefficients
     n'-n+1, ..., n' in increasing order.  The result carries weight exponents
@@ -472,26 +530,10 @@ def ladder_chain(n_prime, n: int) -> HypWave:
     bounded but not normalizable); n > n' is rejected as a no-bound-state
     request.
     """
-    np_ = as_fraction(n_prime)
-    n = int(n)
-    if n < 0:
-        raise ValueError("level index n must be nonnegative")
-    depth = np_ - n
-    if depth < 0:
-        raise ValueError(
-            f"n' - n = {depth} < 0: no such state in the depth-{np_} well"
-        )
-    # As in apply_ladder, raising by k at weights depth/2 is -_d_poly at
-    # exponents (depth + k)/2; with k = depth + 1 + j that is e/d below.  The
-    # operators act on functions, so the weights stay at depth/2 and only the
-    # final wave needs its canonical form.
-    d = 2 * depth.denominator
-    prim, num, den = (1,), 1, 1
-    for j in range(n):
-        e = 2 * depth.numerator + (1 + j) * depth.denominator
-        prim, num, den = _split(_d_ints(e, e, d, prim), -num, den * d)
-    half = depth / 2
-    return HypWave(half, half, TanhPoly._of(prim, num, den))
+    depth, n = _chain_depth(as_fraction(n_prime) - int(n), n)
+    for h in _ladder_halves(depth, n):
+        pass  # only the last step is normalised
+    return _ladder_wave(depth, n, h)
 
 
 def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
@@ -512,7 +554,19 @@ def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
         ) from None
     if w.is_zero:
         return TanhPoly.zero()
-    d1 = _d_poly(w.a, w.b, w.poly)
-    d2 = _d_poly(w.a, w.b, d1)
-    residual = -d2 + (v_poly - TanhPoly.constant(E)) * w.poly
-    return w.prefactor * residual
+    # with a = A/d and b = B/d, the polynomial part of d^2/dz^2 at weights (a, b)
+    # of P = (p_num/p_den) p is p_num / (p_den d^2) times _d_ints applied twice
+    # to the int list p, and (V - E) P = (c_num/c_den) c is one product of
+    # primitive parts, which needs no gcd (Gauss's lemma); over the common
+    # denominator p_den d^2 c_den the residual is one int list, normalised once
+    d = math.lcm(w.a.denominator, w.b.denominator)
+    A = w.a.numerator * (d // w.a.denominator)
+    B = w.b.numerator * (d // w.b.denominator)
+    p = w.poly
+    c = (v_poly - TanhPoly.constant(E)) * p
+    f1, f2 = -p._num * c._den, c._num * p._den * d * d
+    out = [f1 * x for x in _d_ints(A, B, d, _d_ints(A, B, d, p._prim))]
+    out += [0] * (len(c._prim) - len(out))
+    out[:len(c._prim)] = [o + f2 * y for o, y in zip(out, c._prim)]
+    return TanhPoly._from_ints(out, w.prefactor.numerator,
+                               w.prefactor.denominator * p._den * d * d * c._den)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from susyqm import cli, fd_oracle
+from susyqm import RosenMorseII, cli, fd_oracle
 from susyqm.cli import (
     CONFIG_ENV_VAR, Command, execute_command, load_config, main, parse_command,
     render_csv, render_json,
@@ -109,6 +109,17 @@ def test_numerical_failure_exits_3(capsys):
                         "--B", "1/2", "--k", "1"], capsys)
     assert code == 3
     assert "asymmetric" in err or "asymptote" in err
+
+
+def test_arithmetic_error_exits_3_without_traceback(monkeypatch, capsys):
+    # a planted defect: RosenMorseII.levels() one level too long asks for the
+    # energy at n = n', which divides by (n' - n)^2 = 0
+    levels = RosenMorseII.levels
+    monkeypatch.setattr(RosenMorseII, "levels", lambda self: range(len(levels(self)) + 1))
+    code, out, err = run(["verify", "spectra"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure in 'verify'")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k", ["nan", "inf"])

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from susyqm import (
     HypWave, ProportionalityError, TanhPoly, assoc_legendre,
     check_gegenbauer_identity, check_legendre_identity, gegenbauer_poly,
-    jacobi_poly, ladder_chain, legendre_poly, proportionality_constant,
+    jacobi_poly, ladder_chain, ladder_tower, legendre_poly, proportionality_constant,
 )
 from susyqm.orthopoly import legendre_derivatives, legendre_links
 from susyqm.orthopoly import (
@@ -44,6 +44,27 @@ def test_jacobi_ode_identity(n, alpha, beta):
 @settings(max_examples=60)
 def test_jacobi_reflection_symmetry(n, alpha, beta):
     assert jacobi_poly(n, alpha, beta).reflected() == ((-1) ** n) * jacobi_poly(n, beta, alpha)
+
+
+def ref_jacobi(n, a, b):
+    """Coefficients of P_n^(a,b) from the textbook recurrence, one Fraction each."""
+    p_prev, p = [Fraction(1)], [(a - b) / 2, (a + b + 2) / 2]
+    if n == 0:
+        return p_prev
+    for j in range(2, n + 1):
+        c0 = 2 * j * (j + a + b) * (2 * j + a + b - 2)
+        c1 = (2 * j + a + b - 1) * (a * a - b * b)
+        c2 = (2 * j + a + b - 1) * (2 * j + a + b) * (2 * j + a + b - 2)
+        c3 = 2 * (j + a - 1) * (j + b - 1) * (2 * j + a + b)
+        p_prev, p = p, [(c1 * x + c2 * y - c3 * z) / c0
+                        for x, y, z in zip(p + [0], [0] + p, p_prev + [0, 0])]
+    return p
+
+
+@given(n=st.integers(0, 16), alpha=jacobi_indices, beta=jacobi_indices)
+@settings(max_examples=80)
+def test_jacobi_matches_fraction_recurrence(n, alpha, beta):
+    assert list(jacobi_poly(n, alpha, beta).coeffs) == ref_jacobi(n, alpha, beta)
 
 
 def test_jacobi_float_values_match_exact():
@@ -138,17 +159,20 @@ def test_legendre_identity_validates():
 
 
 def test_legendre_links_read_one_derivative_chain():
+    towers = {m: ladder_tower(m, 8 - m) for m in range(1, 9)}
     for l in range(1, 9):
         chain = legendre_derivatives(l, l)
         poly = legendre_poly(l)
         for m in range(l + 1):
             assert chain[m] == poly
             poly = poly.derivative()
-        assert legendre_links(l, range(1, l + 1)) == [
+        assert legendre_links(l, range(1, l + 1), towers) == [
             check_legendre_identity(l, m) for m in range(1, l + 1)]
-    assert legendre_links(5, []) == []
+    assert legendre_links(5, [], towers) == []
     with pytest.raises(ValueError, match="1 <= m <= l"):
-        legendre_links(4, [1, 5])
+        legendre_links(4, [1, 5], towers)
+    with pytest.raises(ValueError, match="1 <= m <= l"):
+        check_legendre_identity(2, 3)
 
 
 def test_legendre_identity_matches_pointwise():
@@ -196,3 +220,9 @@ def test_jacobi_and_legendre_golden():
     assert _sha(coeffs) == "a7fa1e4abbe218a0e0e246b60a47bbc1c396be665859a5de65b843f5d416415f"
     constants = [str(check_legendre_identity(24, m)) for m in range(1, 25)]
     assert _sha(constants) == "f301126252200376fee3efd97ad1a16e78081ee2429c577d8600d67683285e27"
+
+
+def test_deep_jacobi_golden():
+    # taken from the recurrence that normalised every step, where the ints are largest
+    coeffs = [str(c) for c in jacobi_poly(300, Fraction(1, 3), Fraction(7, 5)).coeffs]
+    assert _sha(coeffs) == "bf00a14ac1312bce6d22db23a21719fb119826e387695355abe99f4a534a43dc"

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from conftest import hyp_waves, nonzero_rationals, rationals, small_exponents, tanh_polys
 from susyqm import (
     HypWave, PoschlTeller, RosenMorseII, TanhPoly, apply_ladder,
-    apply_lowering, eigen_residual_symbolic, eval_wave, ladder_chain,
+    apply_lowering, eigen_residual_symbolic, eval_wave, ladder_chain, ladder_tower,
 )
 from susyqm.cli import _wave_payload
 from susyqm.tanh_algebra import _d_poly
@@ -299,8 +299,85 @@ def test_ladder_chain_large_tower_needs_bigints():
     assert eigen_residual_symbolic(w, PoschlTeller(20), -1).is_zero
 
 
+depths = st.one_of(
+    st.integers(0, 12).map(Fraction),
+    st.integers(0, 24).map(lambda k: Fraction(2 * k + 1, 2)),
+    st.fractions(min_value=0, max_value=12, max_denominator=6),
+)
+
+
+@given(depth=depths, n=st.integers(0, 12))
+@settings(max_examples=60)
+def test_ladder_tower_matches_repeated_raising(depth, n):
+    # reference: sech^depth z raised one operator at a time, k = depth + 1, depth + 2, ...
+    w = HypWave.sech_power(depth)
+    expected = [w]
+    for j in range(n):
+        w = apply_ladder(depth + 1 + j, w)
+        expected.append(w)
+    assert ladder_tower(depth, n) == expected
+    assert ladder_chain(depth + n, n) == expected[-1]
+
+
+def test_ladder_tower_rejects_negative_depth_and_length():
+    with pytest.raises(ValueError, match="< 0"):
+        ladder_tower(Fraction(-1, 2), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ladder_tower(2, -1)
+
+
+def payload_sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of the canonical fields, taken from the chain that normalised every step
+@pytest.mark.parametrize("build, sha", [
+    (lambda: ladder_chain(300, 299),
+     "c86c0fd1e50092f34fdedba0e549c3f445121383da929dc8605893695f9061ff"),
+    (lambda: ladder_chain(Fraction(601, 2), 300),
+     "8f419d036d10482326ba04cfedfcc14e501e51c77e2d6ba04e1fb0dfd5665c3b"),
+], ids=["sech-300-299", "sech-601/2-300"])
+def test_deep_ladder_chain_golden(build, sha):
+    w = build()
+    assert payload_sha([str(w.a), str(w.b), str(w.prefactor),
+                        [str(c) for c in w.poly.coeffs]]) == sha
+
+
 # ---------------------------------------------------------------------------
 # symbolic eigen-residuals
+
+
+def ref_residual(w, fam, E):
+    """-_d_poly(_d_poly(P)) + (V - E) P from TanhPoly operations, times the prefactor."""
+    d2 = _d_poly(w.a, w.b, _d_poly(w.a, w.b, w.poly))
+    return w.prefactor * (-d2 + (fam.tanh_poly() - TanhPoly.constant(E)) * w.poly)
+
+
+wells = st.one_of(
+    depths.filter(lambda l: l > 0).map(PoschlTeller),
+    st.builds(lambda n_prime, f: RosenMorseII(n_prime, f * n_prime ** 2),
+              st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=4),
+              st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10),
+                           max_denominator=10)),
+)
+
+
+@given(w=hyp_waves(), fam=wells, E=rationals)
+@settings(max_examples=80)
+def test_residual_matches_reference(w, fam, E):
+    assert eigen_residual_symbolic(w, fam, E) == ref_residual(w, fam, E)
+
+
+@given(fam=wells, data=st.data())
+@settings(max_examples=40)
+def test_residual_of_eigenpairs_matches_reference(fam, data):
+    n = data.draw(st.sampled_from(fam.levels()[:10]))
+    w, E = fam.eigenfunction(n), fam.energy(n)
+    assert eigen_residual_symbolic(w, fam, E).is_zero
+    shifted = E + Fraction(1, 1000)
+    resid = eigen_residual_symbolic(w, fam, shifted)
+    assert not resid.is_zero and resid == ref_residual(w, fam, shifted)
 
 
 def test_residual_examples():
@@ -345,11 +422,6 @@ def test_derivative_matches_finite_difference(w):
 # ---------------------------------------------------------------------------
 # golden pins: sha256 of exact report payloads, taken from the earlier
 # Fraction-per-coefficient TanhPoly
-
-
-def payload_sha(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("build, sha", [
