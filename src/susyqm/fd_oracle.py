@@ -15,15 +15,19 @@ per bracket, and checks the pivot floor once per block; it redoes a block row
 by row with the floor only where the floor would have fired, so the pivots
 are those of the plain row-by-row recurrence bit for bit.  The
 scattering equation is linear, so each RK4 step is a real 2x2 matrix M; the
-march is their ordered product, kept in difference form M - I.  One loop
-streams the half-step lattice of the finer march in blocks of MARCH_BLOCK
-steps: a block evaluates V once on its new points (the same doubles as
-np.linspace), scales u = s^2 (V - E) in place, and forms the step deltas of
-both marches from u, the coarser march of the step-halving check reading
-every other point.  The two marches' deltas are reduced together by one
-pairwise (log-depth) product over a stacked 2 x 2 x march x step array and
-folded into running 2x2 products, so the work grows with the lattice and the
-memory only with the block.
+march is their ordered product, kept in difference form M - I.  Scattering
+takes even wells only, V(-z) = V(z), and marches only from +L to 0: an RK4
+step taken backwards is the adjugate of the forward step, bit for bit, so the
+march from 0 to -L is P adj(R) P with R the march from +L to 0 and
+P = diag(1, -1), which is R with its diagonal entries swapped.  One loop
+streams the half-step lattice of the finer march from +L to 0 in blocks of
+MARCH_BLOCK steps: a block evaluates V once on its new points (the same
+doubles as np.linspace), scales u = s^2 (V - E) in place, and forms the step
+deltas of both marches from u, the coarser march of the step-halving check
+reading every other point.  The two marches' deltas are reduced together by
+one pairwise (log-depth) product over a stacked 2 x 2 x march x step array
+and folded into running 2x2 products, so the work grows with the lattice and
+the memory only with the block.
 """
 
 from __future__ import annotations
@@ -367,31 +371,47 @@ def _ordered_product_delta(d: np.ndarray) -> np.ndarray:
 
 def _march(fam: PotentialFamily, energy: float, half_width: float,
            n_steps: int) -> np.ndarray:
-    """Product deltas of both RK4 marches from z = L down to z = -L.
+    """Product deltas of both RK4 marches from z = L down to z = -L, for an even V.
 
     The coarse march takes n_steps steps of s_c = -2L/n_steps and the fine
-    march 2 n_steps steps of s_f = s_c / 2 (exactly).  Both run on the fine
-    march's half-step lattice, np.linspace(L, -L, 4 n_steps + 1), taken
-    MARCH_BLOCK fine steps at a time.  A block evaluates its new lattice
-    points once, with linspace's own formula j dz + L and the last point set
-    to -L, so every V is that of the linspace lattice bit for bit; it carries
-    the point it shares with the next block.  It scales once,
-    u = s_f^2 (V - E) in place, and the coarse march reads 4 u on every other
-    point, which is s_c^2 (V - E) exactly.  The fine step deltas are merged
-    in pairs, stacked beside the coarse ones, and both marches are reduced
-    together by _ordered_product_delta, then folded into running products.
+    march 2 n_steps steps of s_f = s_c / 2 (exactly).  Only the half from L
+    to 0 is marched; the other half is its mirror image.  The step from u2
+    back to u0, of size -s, is the adjugate of the step M from u0 to u2, bit
+    for bit (_rk4_step_deltas' formulas), and z -> -z maps an even V onto
+    itself and (psi, psi') onto P (psi, psi'), P = diag(1, -1).  So if R is
+    the product over L..0, the march over 0..-L is P adj(R) P, which for a
+    2x2 matrix is R with its diagonal entries swapped, R~, and the full
+    march is R~ R.  scattering_amplitudes refuses a well that is not even.
 
-    The potential must have decayed to within 1e-10 of the asymptote at the
-    lattice's end points.  The check reads the first and last points the
-    march evaluates, +L before the first block is marched and -L before the
-    last, so no point is evaluated twice.  Returns the product deltas as a
-    2 x 2 x 2 array, [i, j, march] with march 0 the coarse and 1 the fine.
+    The half runs on the fine march's half-step lattice,
+    np.linspace(L, -L, 4 n_steps + 1)[:2 n_steps + 1], taken MARCH_BLOCK fine
+    steps at a time.  A block evaluates its new lattice points once, with
+    linspace's own formula j dz + L and the last point set to 0.0, so every
+    V is that of the linspace lattice bit for bit; it carries the point it
+    shares with the next block.  It scales once, u = s_f^2 (V - E) in place,
+    and the coarse march reads 4 u on every other point, which is
+    s_c^2 (V - E) exactly.  The fine step deltas are merged in pairs,
+    stacked beside the coarse ones, and both marches are reduced together
+    by _ordered_product_delta, then folded into running products.
+
+    For an odd n_steps the middle coarse step straddles 0.  The last block
+    then appends the mirror images of its two points before 0, u(-z) = u(z),
+    and marches one fine step past 0, so that its last stacked pair holds
+    the middle coarse step and the two fine steps around 0.  That centre C
+    is its own mirror, and the march is R~ C R with R the product before it.
+
+    The potential must have decayed to within 1e-10 of the asymptote at
+    z = +-L.  V(-L) is evaluated on its own and V(L) is the first lattice
+    point; both are checked before the first block is marched.  Returns the
+    product deltas as a 2 x 2 x 2 array, [i, j, march] with march 0 the
+    coarse and 1 the fine.
     """
     v_inf = fam.asymptotes[0]
     steps = 2 * n_steps
     s = -2.0 * half_width / steps
     dz = -2.0 * half_width / (2 * steps)  # linspace's (stop - start) / (points - 1)
-    block = min(MARCH_BLOCK, steps)
+    # even, so the last block of an odd march has room for its step past 0
+    block = min(MARCH_BLOCK, n_steps + n_steps % 2)
     # the call's buffers are views of one allocation: measured with getrusage,
     # separate buffers cost about 670 minor page faults per default call, one
     # allocation about none
@@ -401,20 +421,20 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
     fine = work[6 * block + 3:10 * block + 3].reshape(2, 2, block)
     pairs = work[10 * block + 3:].reshape(2, 2, 2, block // 2)
     total = np.zeros((2, 2, 2))
-    ends = []
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
+    centre = None
+    v_far = fam.values(np.array([-half_width]))[0]
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
         first = 2 * start + (start > 0)  # the block's first new lattice point
         new_points = 2 * stop + 1 - first
         z = np.add(index[:new_points], first, out=zs[:new_points])
         z *= dz
         z += half_width
-        if stop == steps:
-            z[-1] = -half_width
+        if stop == n_steps:
+            z[-1] = 0.0
         v = fam.values(z)
-        if start == 0 or stop == steps:
-            ends += [v[0]] * (start == 0) + [v[-1]] * (stop == steps)
-            defect = float(np.max(np.abs(np.subtract(ends, v_inf))))
+        if start == 0:
+            defect = float(np.max(np.abs(np.subtract((v[0], v_far), v_inf))))
             if not (defect <= 1e-10):
                 raise NumericalError(
                     f"potential has not decayed at |z| = {half_width}: "
@@ -427,13 +447,25 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
         new = u[1:] if start else u
         np.subtract(v, energy, out=new)
         new *= s * s
+        centred = m % 2  # only the last block of an odd march
+        if centred:
+            u = lattice[:2 * m + 3]
+            u[-2], u[-1] = u[-4], u[-5]  # mirrored about the last point, z = 0
+            m += 1
         d = _rk4_step_deltas(u[0:-1:2], u[1::2], u[2::2], s, fine[..., :m])
         p = pairs[..., :m // 2]
         p[:, :, 1] = _merge(d[..., 0::2], d[..., 1::2])
         uc = u[::2] * 4.0
         _rk4_step_deltas(uc[0:-1:2], uc[1::2], uc[2::2], 2.0 * s, p[:, :, 0])
-        total = _merge(total, _ordered_product_delta(p))
-    return total
+        if centred:
+            centre, p = p[..., -1], p[..., :-1]
+        if p.shape[-1]:
+            total = _merge(total, _ordered_product_delta(p))
+    mirror = total.copy()
+    mirror[0, 0], mirror[1, 1] = total[1, 1], total[0, 0]
+    if centre is not None:
+        total = _merge(total, centre)
+    return _merge(total, mirror)
 
 
 def _amplitudes(p: list[list[float]], k: float, half_width: float) -> tuple[complex, complex]:
@@ -457,9 +489,10 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
 
     The incident energy is E = k^2 + V_inf.  psi'' = (V - E) psi is marched
     from +L to -L with the transmitted plane wave as seed, by classical
-    fixed-step RK4 at step h and at h/2 (_march).  Unequal asymptotes, or a V
-    that has not decayed to within 1e-10 of V_inf at the lattice's end points
-    +-L, raise NumericalError before the march reaches them.  Two built-in
+    fixed-step RK4 at step h and at h/2 (_march, which marches +L to 0 and
+    mirrors it).  Unequal asymptotes, a well that is not even (its tanh_poly()
+    changes under t -> -t), or a V that has not decayed to within 1e-10 of
+    V_inf at +-L raise NumericalError before anything is marched.  Two built-in
     sanity checks guard the integration: flux conservation
     |R|^2 + |T|^2 = 1 within 1e-6, and agreement of |R|^2 between step h and
     h/2 within 1e-7.  Violations raise NumericalError with diagnostics; a k,
@@ -475,6 +508,10 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
             "scattering runs are restricted to symmetric tails; "
             f"{fam!r} has unequal asymptotes {v_inf} and {right}"
         )
+    v = fam.tanh_poly()
+    if v.reflected() != v:
+        raise NumericalError(
+            f"scattering runs are restricted to even wells; {fam!r} has V(-z) != V(z)")
 
     def probabilities(p: list[list[float]]) -> tuple[float, float]:
         a, b = _amplitudes(p, k, half_width)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from susyqm import Grid, HypWave, TanhPoly
@@ -38,3 +39,32 @@ def hyp_waves(draw):
 @pytest.fixture(scope="session")
 def default_grid():
     return Grid(-12.0, 12.0, 2001)
+
+
+class OddWell:
+    """V = tanh z sech^2 z: equal asymptotes 0, but V(-z) = -V(z), so not even.
+
+    A test-only well with the family interface that scattering reads.
+    `calls` counts the values() calls.
+    """
+
+    asymptotes = (0.0, 0.0)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __repr__(self):
+        return "OddWell()"
+
+    def tanh_poly(self) -> TanhPoly:
+        return TanhPoly((0, 1, 0, -1))  # t (1 - t^2)
+
+    def values(self, z):
+        self.calls += 1
+        z = np.asarray(z, dtype=float)
+        return np.tanh(z) / np.cosh(z) ** 2
+
+
+@pytest.fixture
+def odd_well():
+    return OddWell()

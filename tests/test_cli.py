@@ -834,6 +834,10 @@ SCATTER_PINS = [
     (["--family", "poschl-teller", "--l", "0", "--k", "3"],
      4.930380657631343e-32, 1.000000000000004, -3.9968028886505635e-15,
      1.9366382682739073e-44),
+    # 40001 coarse steps: an odd count, whose middle coarse step straddles z = 0
+    (["--family", "poschl-teller", "--l", "3/2", "--k", "1", "--grid-max", "20.0005"],
+     0.0074419501427965395, 0.9925580498572021, 1.3322676295501878e-15,
+     2.5890747878953846e-15),
 ]
 
 
@@ -844,6 +848,15 @@ def test_scatter_report_stays_pinned(argv, r2, t2, flux_defect, drift, capsys):
     rep = json.loads(out)
     got = (rep["R2"], rep["T2"], rep["flux_defect"], rep["diagnostics"]["step_halving_drift"])
     assert all(abs(x - pin) <= 1e-13 for x, pin in zip(got, (r2, t2, flux_defect, drift)))
+
+
+def test_scatter_of_a_well_that_is_not_even_exits_3(odd_well, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_family", lambda params: odd_well)
+    code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "1", "--k", "1"],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "even" in err and "Traceback" not in err
+    assert odd_well.calls == 0
 
 
 def test_eigenfunction_report(capsys):

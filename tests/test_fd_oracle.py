@@ -419,6 +419,21 @@ def test_scatter_rejects_asymmetric_tails():
         scattering_amplitudes(RosenMorseII(2, HALF), 1.0)
 
 
+def test_scatter_rejects_a_well_that_is_not_even(odd_well):
+    # equal asymptotes, but V(-z) != V(z): the march's mirror half would be
+    # wrong, so the well is refused before V is evaluated anywhere
+    z = np.linspace(-3.0, 3.0, 61)
+    assert np.allclose(odd_well.values(z), odd_well.tanh_poly().values(np.tanh(z)),
+                       rtol=0.0, atol=1e-15)
+    odd_well.calls = 0
+    with pytest.raises(NumericalError, match="restricted to even wells"):
+        scattering_amplitudes(odd_well, 1.0)
+    assert odd_well.calls == 0
+    # the B = 0 tilted well and the free well are even, and still accepted
+    assert scattering_amplitudes(RosenMorseII(2, 0), 1.0).r2 <= 1e-6
+    assert scattering_amplitudes(PoschlTeller(0), 1.0).r2 <= 1e-15
+
+
 def test_scatter_rejects_undecayed_window():
     with pytest.raises(NumericalError):
         scattering_amplitudes(PoschlTeller(1), 1.0, half_width=3.0)
@@ -443,6 +458,19 @@ def test_scatter_rejects_bad_window(value):
 def test_scatter_overflowing_amplitude_is_numerical_error():
     with pytest.raises(NumericalError, match="not finite doubles"):
         scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1e-300)
+
+
+def test_backward_step_is_the_adjugate_of_the_forward_step():
+    # the march's mirror half rests on this: the step from u2 back to u0,
+    # of size -s, is adj(M) for the forward step M, bit for bit; in
+    # difference form [[D11, -D01], [-D10, D00]]
+    rng = np.random.default_rng(11)
+    for s in (1e-3, -2.5e-3, 0.37):
+        u0, u1, u2 = rng.normal(scale=0.05, size=(3, 257))
+        forward = fd_oracle._rk4_step_deltas(u0, u1, u2, s, np.empty((2, 2, 257)))
+        backward = fd_oracle._rk4_step_deltas(u2, u1, u0, -s, np.empty((2, 2, 257)))
+        (d00, d01), (d10, d11) = forward
+        assert np.array_equal(backward, np.array([[d11, -d01], [-d10, d00]]))
 
 
 def _sequential_march(fam, k, energy, half_width, n_steps):
@@ -567,8 +595,9 @@ def test_scattering_reports_its_diagnostics(monkeypatch):
     fam = PoschlTeller(Fraction(3, 2))
     calls = _recording_values(monkeypatch, PoschlTeller)
     res = scattering_amplitudes(fam, 1.0, 20.0, 1e-2)
-    # one fine half-step lattice for the tail check and both marches
-    assert sum(len(z) for z, _v in calls) == 4 * 4000 + 1
+    # the half of one fine half-step lattice from L to 0 for both marches and
+    # the tail check at L, and the other end, -L, for the tail check
+    assert sum(len(z) for z, _v in calls) == 2 * 4000 + 1 + 1
     assert res.rk4_steps == (4000, 8000)
     assert res.step == 5e-3
     assert 0.0 < res.step_halving_drift <= fd_oracle.STEP_HALVING_TOL
@@ -579,15 +608,19 @@ def test_scattering_reports_its_diagnostics(monkeypatch):
 
 
 # 40000 and 4000 are the coarse step counts of steps 1e-3 and 1e-2; on 77
-# steps j dz + L misses -L at the last point, which linspace sets to -L
+# steps, odd, j dz + L misses 0 at the last point of the half lattice
 @pytest.mark.parametrize("n_steps", [40000, 4000, 77])
 def test_march_evaluates_each_lattice_point_once(n_steps, monkeypatch):
-    # the blocks' lattices together are np.linspace(L, -L, 4 n + 1), each point
-    # once, bit for bit, and no call is larger than one block's lattice
+    # after the lone end point -L, the blocks' lattices together are the half
+    # np.linspace(L, -L, 4 n + 1)[:2 n + 1] with its last point exactly 0.0,
+    # each point once, bit for bit, and no call is larger than one block's lattice
     fam = PoschlTeller(Fraction(3, 2))
     calls = _recording_values(monkeypatch, PoschlTeller)
     fd_oracle._march(fam, 1.0, 20.0, n_steps)
-    lattice = np.linspace(20.0, -20.0, 4 * n_steps + 1)
+    (far, _v_far), *calls = calls
+    assert np.array_equal(far, [-20.0])
+    lattice = np.linspace(20.0, -20.0, 4 * n_steps + 1)[:2 * n_steps + 1]
+    lattice[-1] = 0.0
     assert max(len(z) for z, _v in calls) <= 2 * fd_oracle.MARCH_BLOCK + 1
     assert np.array_equal(np.concatenate([z for z, _v in calls]), lattice)
     monkeypatch.undo()
@@ -603,6 +636,11 @@ class _UndecayedAtOneEnd:
         self.bad_end = bad_end
         self.calls = 0
 
+    def tanh_poly(self):
+        # V = 0 inside |z| <= 19, an even form: the evenness guard lets the
+        # well through, and only the decay check can stop it
+        return TanhPoly.zero()
+
     def values(self, z):
         self.calls += 1
         return np.where(np.sign(z) == self.bad_end, 1e-3, 0.0) * (np.abs(z) > 19.0)
@@ -610,14 +648,13 @@ class _UndecayedAtOneEnd:
 
 @pytest.mark.parametrize("bad_end", [1, -1])
 def test_decay_checked_at_both_ends(bad_end):
-    # +L is checked on the first block's lattice, -L on the last block's,
-    # before either block is marched
+    # -L is evaluated on its own, +L on the first block's lattice, and both
+    # are checked before any block is marched: two values() calls
     fam = _UndecayedAtOneEnd(bad_end)
     with pytest.raises(NumericalError, match=r"has not decayed at \|z\| = 20.0: "
                                              r"\|V - V_inf\| = 1\.000e-03"):
         scattering_amplitudes(fam, 1.0, 20.0, 1e-3)
-    blocks = -(-80000 // fd_oracle.MARCH_BLOCK)
-    assert fam.calls == (1 if bad_end == 1 else blocks)
+    assert fam.calls == 2
 
 
 # R^2, T^2, flux defect and step-halving drift of the twelve `verify scatter`
