@@ -2,12 +2,18 @@
 
 Subcommands: spectrum, eigenfunction, map, verify, scatter, oracle, deformed.
 Every report echoes its fully resolved parameter set, so any run can be
-reproduced from its own header.  Exit codes: 0 all requested checks passed,
-1 a check failed, 2 usage/parameter error, 3 numerical failure.
+reproduced from its own header: every parameter a report echoes has a flag of
+the same name (_ written as -), such as --scatter-half-width and
+--scatter-step for the scattering half width and step of `scatter` and
+`verify scatter`.  A parameter that gets no value from a flag, the config file
+or a default exits 2 with one line, such as
+`error: eigenfunction --family poschl-teller requires --l`.  Exit codes: 0 all
+requested checks passed, 1 a check failed, 2 usage/parameter error,
+3 numerical failure.
 
-Grid and tolerance defaults may be placed in a key = value config file named
-by --config or the SUSYQM_CONFIG environment variable; command-line flags
-override file values.
+Grid, tolerance and scattering defaults may be placed in a key = value config
+file named by --config or the SUSYQM_CONFIG environment variable; command-line
+flags override file values.
 """
 
 from __future__ import annotations
@@ -51,12 +57,13 @@ DEFORMED_TOL = 1e-5
 SIZE_CAP = 2_000_000
 GRID_KEYS = ("grid_min", "grid_max", "grid_points")
 # every key each subcommand, verify section and family reads; a command reads
-# the union of its own, its sections' and its family's.  A default is filled in
-# only for a key the command reads and a flag it does not read exits 2, so the
-# echo holds exactly what the run used.
+# the union of its own, its sections' and its family's.  Each key is a flag of
+# exactly the subcommands that can read it, a default is filled in only for a
+# key the command reads and a flag it does not read exits 2, so the echo holds
+# exactly what the run used and replays as flags.
 READS = {
     "spectrum": ("family",), "eigenfunction": ("family", "n", "z"), "map": ("gamma", "z"),
-    "verify": ("section",), "scatter": ("family", "k", "grid_max", "scatter_step"),
+    "verify": ("section",), "scatter": ("family", "k", "scatter_half_width", "scatter_step"),
     "oracle": ("family", *GRID_KEYS, "tol"),
     "deformed": ("alpha", "beta", "n", *GRID_KEYS, "tol"),
     "verify riccati": GRID_KEYS, "verify ladder": ("l_max",),
@@ -65,6 +72,34 @@ READS = {
     "verify shape-invariance": (), "verify maps": (), "verify deformed": (),
     "poschl-teller": ("l",), "rosen-morse": ("nprime", "B"), "gegenbauer": ("p", "q"),
 }
+# the families --family takes; only spectrum takes the ultraspherical one
+WELLS = ("poschl-teller", "rosen-morse")
+FAMILIES = {"spectrum": (*WELLS, "gegenbauer"), "eigenfunction": WELLS, "scatter": WELLS,
+            "oracle": WELLS}
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+# the type of every key a command reads but the positional section: its flag
+# converts with it, and so does load_config for a config value
+KEY_TYPES = {
+    "family": str, "n": int, "z": float, "gamma": float, "k": float,
+    "alpha": float, "beta": float, "l_max": int, "p_max": int, "p": int,
+    "l": _fraction, "nprime": _fraction, "B": _fraction, "q": _fraction,
+    "grid_min": float, "grid_max": float, "grid_points": int, "tol": float,
+    "scatter_half_width": float, "scatter_step": float,
+}
+# built-in values of read keys that no flag or config value sets, then those
+# of one subcommand alone (its flags' defaults); a read key with no value at
+# all exits 2, except eigenfunction's --z, whose None marks it optional
+DEFAULTS = {"l_max": 5, "p_max": 4, "B": Fraction(0)}
+COMMAND_DEFAULTS = {"scatter": {"family": "poschl-teller"}, "eigenfunction": {"z": None},
+                    "deformed": {"n": 0, "tol": DEFORMED_TOL}}
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -112,7 +147,7 @@ def load_config(path: str | None) -> dict:
                     raise UsageError(f"{path}:{lineno}: format must be json or csv")
                 resolved[key] = value
                 continue
-            convert = int if key == "grid_points" else float
+            convert = KEY_TYPES[key]
             try:
                 resolved[key] = convert(value)
             except ValueError:
@@ -122,85 +157,31 @@ def load_config(path: str | None) -> dict:
     return resolved
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call."""
+    """The parser, built on first use and shared by every later call.  A
+    subcommand takes one --key flag (_ written as -) per key that it, its
+    verify sections or its families read, and --format, --output, --config."""
     parser = argparse.ArgumentParser(
         prog="susyqm",
         description="Spectra, ladder identities and numerical verification "
                     "for shape-invariant tanh/sech wells.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--output", default=None, metavar="PATH")
-        p.add_argument("--config", default=None, metavar="PATH")
-
-    def add_grid(p):
-        p.add_argument("--grid-min", type=float, default=None)
-        p.add_argument("--grid-max", type=float, default=None)
-        p.add_argument("--grid-points", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-
-    def add_family(p, *more_families, **family_kwargs):
-        p.add_argument("--family", choices=("poschl-teller", "rosen-morse", *more_families),
-                       **family_kwargs)
-        p.add_argument("--l", type=_fraction, default=None)
-        p.add_argument("--nprime", type=_fraction, default=None)
-        p.add_argument("--B", type=_fraction, default=None)
-
-    p = sub.add_parser("spectrum", help="closed-form bound levels of a family")
-    add_family(p, "gegenbauer", required=True)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=_fraction, default=None)
-    add_common(p)
-
-    p = sub.add_parser("eigenfunction", help="closed-form bound state, exact coefficients")
-    add_family(p, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z", type=float, default=None,
-                   help="also evaluate the wave at this point")
-    add_common(p)
-
-    p = sub.add_parser("map", help="angle-to-line coordinate map at one point")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--z", type=float, required=True)
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run a verification section (or all)")
-    p.add_argument("section", choices=VERIFY_SECTIONS + ("all",))
-    p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--p-max", type=int, default=None)
-    add_common(p)
-    add_grid(p)
-
-    p = sub.add_parser("scatter", help="reflection/transmission at wavenumber k")
-    add_family(p, default="poschl-teller")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--grid-max", type=float, default=None,
-                   help="integration half width")
-    add_common(p)
-
-    p = sub.add_parser("oracle", help="finite-difference eigenvalues vs closed form")
-    add_family(p, required=True)
-    add_common(p)
-    add_grid(p)
-
-    p = sub.add_parser("deformed", help="zero-energy residual of the deformed family")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, default=0)
-    add_common(p)
-    add_grid(p)
-
+    for name, runner in RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__)
+        keys = dict.fromkeys(key for family in FAMILIES.get(name, (None,))
+                             for key in _reads(name, {"family": family, "section": "all"}))
+        for key in keys:
+            if key == "section":
+                p.add_argument("section", choices=(*VERIFY_SECTIONS, "all"))
+            else:
+                p.add_argument(f"--{key.replace('_', '-')}", type=KEY_TYPES[key],
+                               choices=FAMILIES[name] if key == "family" else None)
+        p.add_argument("--format", choices=("json", "csv"))
+        p.add_argument("--output", metavar="PATH")
+        p.add_argument("--config", metavar="PATH")
+        p.set_defaults(**COMMAND_DEFAULTS.get(name, {}))
     return parser
 
 
@@ -234,22 +215,22 @@ def parse_command(argv: list[str]) -> Command:
     if params.get("p_max", 0) < 0:
         raise UsageError(f"--p-max must be nonnegative, got {params['p_max']}")
     reads = _reads(sub, params)
+    reader = (f"verify {params['section']}" if "section" in params
+              else f"{sub} --family {params['family']}" if "family" in params else sub)
+    defaults = config | DEFAULTS
+    # a missing key is named first: without --family every family key is unread
+    if missing := [key for key in reads if key not in params and key not in defaults
+                   and key not in COMMAND_DEFAULTS.get(sub, {})]:
+        raise UsageError(f"{reader} requires --{missing[0].replace('_', '-')}")
     if unread := [key for key in params if key not in reads]:
-        reader = (f"verify {params['section']}" if "section" in params
-                  else f"{sub} --family {params['family']}")
         raise UsageError(f"{reader} does not read --{unread[0].replace('_', '-')}")
-    if sub == "scatter":
-        # --grid-max doubles as the integration half width here
-        params.setdefault("grid_max", config["scatter_half_width"])
     if sub == "deformed":
-        params.setdefault("tol", DEFORMED_TOL)
         given = [key for key in GRID_KEYS if key in params]
         if given and len(given) != len(GRID_KEYS):
             raise UsageError("give --grid-min, --grid-max and --grid-points together")
         if not given:
             grid = _deformed_default_grid(params["alpha"], params["beta"])
             params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
-    defaults = config | {"l_max": 5, "p_max": 4, "B": Fraction(0)}
     params = {key: defaults[key] for key in reads if key in defaults} | params
     for what, size in _request_sizes(sub, params):
         if size > SIZE_CAP:
@@ -266,13 +247,14 @@ def parse_command(argv: list[str]) -> Command:
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
-def _reads(sub: str, params: dict) -> set:
-    """The keys a command reads: its own, its verify sections' and its family's."""
+def _reads(sub: str, params: dict) -> dict:
+    """The keys a command reads, in table order: its own, its verify sections'
+    and its family's."""
     names = [sub, params.get("family")]
     if sub == "verify":
         names += [f"verify {name}" for name in VERIFY_SECTIONS
                   if params["section"] in (name, "all")]
-    return {key for name in names for key in READS.get(name, ())}
+    return dict.fromkeys(key for name in names for key in READS.get(name, ()))
 
 
 def _request_sizes(sub: str, params: dict):
@@ -287,7 +269,7 @@ def _request_sizes(sub: str, params: dict):
     if "grid_points" in reads:
         yield "grid points", params["grid_points"]
     if "scatter_step" in reads:
-        half_width = params["grid_max" if sub == "scatter" else "scatter_half_width"]
+        half_width = params["scatter_half_width"]
         step = params["scatter_step"]
         # other values are rejected by scattering_amplitudes, with its own message
         if 0.0 < half_width < math.inf and 0.0 < step < math.inf:
@@ -307,15 +289,9 @@ def _family(params: dict) -> PoschlTeller | RosenMorseII:
     """The well of --family; the ultraspherical family is the sech well it reduces to."""
     family = params["family"]
     if family == "poschl-teller":
-        if "l" not in params:
-            raise UsageError("--l is required for the sech-well family")
         return PoschlTeller(params["l"])
     if family == "gegenbauer":
-        if "p" not in params or "q" not in params:
-            raise UsageError("--p and --q are required for the ultraspherical family")
         return PoschlTeller(spectra.gegenbauer_spectrum(params["p"], params["q"]).n_prime)
-    if "nprime" not in params:
-        raise UsageError("--nprime is required for the tanh-tilted family")
     return RosenMorseII(params["nprime"], params["B"])
 
 
@@ -636,6 +612,7 @@ def _spectrum_rows(fam: PoschlTeller | RosenMorseII) -> list[dict]:
 
 
 def run_spectrum(params: dict) -> dict:
+    """Closed-form bound levels of a family."""
     body = {"entries": _spectrum_rows(_family(params))}
     if params["family"] == "gegenbauer":
         red = spectra.gegenbauer_spectrum(params["p"], params["q"])
@@ -646,6 +623,7 @@ def run_spectrum(params: dict) -> dict:
 
 
 def run_eigenfunction(params: dict) -> dict:
+    """Closed-form bound state, exact coefficients."""
     fam = _family(params)
     wave = fam.eigenfunction(params["n"])
     energy = fam.energy(params["n"])
@@ -659,6 +637,7 @@ def run_eigenfunction(params: dict) -> dict:
 
 
 def run_map(params: dict) -> dict:
+    """Angle-to-line coordinate map at one point."""
     gamma = params["gamma"]
     z = params["z"]
     theta = cmaps.theta_of_z(gamma, z)
@@ -681,12 +660,10 @@ def run_map(params: dict) -> dict:
 
 
 def run_scatter(params: dict) -> dict:
+    """Reflection/transmission at wavenumber k."""
     fam = _family(params)
-    res = fd_oracle.scattering_amplitudes(
-        fam, params["k"],
-        half_width=params["grid_max"],
-        step=params["scatter_step"],
-    )
+    res = fd_oracle.scattering_amplitudes(fam, params["k"], params["scatter_half_width"],
+                                          params["scatter_step"])
     return {
         "R2": res.r2,
         "T2": res.t2,
@@ -706,6 +683,7 @@ def run_scatter(params: dict) -> dict:
 
 
 def run_oracle(params: dict) -> dict:
+    """Finite-difference eigenvalues vs closed form."""
     fam = _family(params)
     tol = params["tol"]
     [(levels, exact, evs)] = _fd_vs_closed_form([fam], _grid(params))
@@ -723,6 +701,7 @@ def run_oracle(params: dict) -> dict:
 
 
 def run_deformed(params: dict) -> dict:
+    """Zero-energy residual of the deformed family."""
     resid = spectra.gamma_deformed_residual(params["alpha"], params["beta"], params["n"],
                                             _grid(params))
     return {
@@ -732,6 +711,7 @@ def run_deformed(params: dict) -> dict:
 
 
 def run_verify(params: dict) -> dict:
+    """Run a verification section (or all)."""
     sections = {name: SECTION_RUNNERS[name](params) for name in VERIFY_SECTIONS
                 if params["section"] in (name, "all")}
     checks = [c for results in sections.values() for c in results]

@@ -75,6 +75,14 @@ class Grid:
     def h(self) -> float:
         return (self.z_max - self.z_min) / (self.points - 1)
 
+    @property
+    def h2(self) -> float:
+        """h^2; a spacing whose square is past the double range raises NumericalError."""
+        h2 = self.h * self.h
+        if h2 == math.inf:
+            raise NumericalError(f"grid spacing h = {self.h:.3e} puts h^2 past the double range")
+        return h2
+
     def zs(self) -> np.ndarray:
         return np.linspace(self.z_min, self.z_max, self.points)
 
@@ -102,9 +110,10 @@ class TridiagonalOperator:
 def discretize(fam: PotentialFamily, grid: Grid) -> TridiagonalOperator:
     """Second-order central stencil: diagonal 2/h^2 + V(z_i), off-diagonal -1/h^2.
 
-    A spacing so fine that 1/h^2 is not a finite double raises NumericalError.
+    A spacing so fine that 1/h^2, or so coarse that h^2, is not a finite
+    double raises NumericalError.
     """
-    h2 = grid.h ** 2
+    h2 = grid.h2
     inv_h2 = 1.0 / h2 if h2 else math.inf
     if inv_h2 == math.inf:
         raise NumericalError(f"grid spacing h = {grid.h:.3e} puts 1/h^2 past the double range")

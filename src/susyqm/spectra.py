@@ -8,6 +8,7 @@ log-deformed family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -92,7 +93,9 @@ def gamma_deformed_residual(alpha: float, beta: float, n: int, grid: Grid) -> fl
     must satisfy v'' + [n'(n'+1) sech^2 w - m^2 - gamma m tanh w] v/(gamma z + 1)^2 = 0.
     The second derivative is a five-point centered stencil on the supplied
     grid (O(h^4), so the certification is not limited by stencil truncation),
-    and a small return value certifies the closed-form claim numerically.
+    and a small return value certifies the closed-form claim numerically.  A
+    residual that is not finite raises FloatingPointError, and a spacing whose
+    h^2 is past the double range raises the grid's NumericalError.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -115,7 +118,10 @@ def gamma_deformed_residual(alpha: float, beta: float, n: int, grid: Grid) -> fl
     sech2 = 1.0 / np.cosh(w) ** 2
     v = sech2 ** (0.25 * (alpha + beta)) * jacobi_values(n, alpha, beta, -tw)
     bracket = (n_prime * (n_prime + 1.0)) * sech2 - m * m - gamma * m * tw
-    h2 = grid.h ** 2
-    vpp = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * h2)
-    resid = vpp + bracket[2:-2] * v[2:-2] / u2
-    return float(np.max(np.abs(resid)))
+    vpp = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * grid.h2)
+    resid = float(np.max(np.abs(vpp + bracket[2:-2] * v[2:-2] / u2)))
+    # an overflow leaves NaN or inf, which must not pass or fail a check as a
+    # number; an ArithmeticError needs no import of fd_oracle's NumericalError
+    if not math.isfinite(resid):
+        raise FloatingPointError(f"the zero-energy residual is not finite ({resid})")
+    return resid

@@ -161,7 +161,7 @@ def test_huge_wavenumber_exits_3_with_one_stderr_line(argv):
 @pytest.mark.parametrize("half_width", ["nan", "0", "-5", "inf"])
 def test_scatter_bad_half_width_exits_2(half_width, capsys):
     code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "2", "--k", "1",
-                          f"--grid-max={half_width}"], capsys)
+                          f"--scatter-half-width={half_width}"], capsys)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "half width must be positive and finite" in err
@@ -190,6 +190,27 @@ def test_grid_too_fine_for_the_stencil_exits_3(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 3
     assert err.count("\n") == 1 and "past the double range" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "spectra", "--grid-min=-1e300", "--grid-max=1e300", "--grid-points=3"],
+    ["deformed", "--alpha", "1", "--beta", "2", "--grid-min", "-0.4", "--grid-max", "1e300",
+     "--grid-points", "11"],
+])
+def test_grid_too_coarse_for_the_stencil_exits_3(argv, capsys):
+    # h^2 is past the double range; the message names the spacing
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "h^2 past the double range" in err, err
+    assert "grid spacing h = " in err
+
+
+def test_deformed_non_finite_residual_exits_3(capsys):
+    # n'(n' + 1) and m^2 overflow, and the residual is NaN
+    code, out, err = run(["deformed", "--alpha", "1e300", "--beta", "1e300"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure in 'deformed'") and err.count("\n") == 1, err
+    assert "not finite" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -334,6 +355,59 @@ def test_reads_table_matches_the_parser():
     assert set(cli.READS) == set(_subparsers()) | {
         f"verify {section}" for section in cli.VERIFY_SECTIONS} | {
         "poschl-teller", "rosen-morse", "gegenbauer"}
+
+
+def test_each_subcommand_has_a_flag_for_each_key_it_reads():
+    # the subparsers are built from READS, so no flag is missing or extra
+    for sub, parser in _subparsers().items():
+        names = [sub]
+        if sub == "verify":
+            names += [f"verify {section}" for section in cli.VERIFY_SECTIONS]
+        names += cli.FAMILIES.get(sub, ())
+        keys = {key for name in names for key in cli.READS[name]} - {"section"}
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        assert options == {f"--{key.replace('_', '-')}" for key in keys} | {
+            "--format", "--output", "--config", "-h", "--help"}, sub
+    options = {opt for action in _subparsers()["eigenfunction"]._actions
+               for opt in action.option_strings}
+    assert sorted(options) == sorted(["--family", "--l", "--nprime", "--B", "--n", "--z",
+                                      "--format", "--output", "--config", "-h", "--help"])
+
+
+MISSING_KEYS = [
+    (["spectrum", "--l", "2"], "spectrum requires --family"),
+    (["spectrum", "--family", "poschl-teller"], "spectrum --family poschl-teller requires --l"),
+    (["spectrum", "--family", "rosen-morse", "--B", "1/2"],
+     "spectrum --family rosen-morse requires --nprime"),
+    (["spectrum", "--family", "gegenbauer", "--q", "3/2"],
+     "spectrum --family gegenbauer requires --p"),
+    (["spectrum", "--family", "gegenbauer", "--p", "1"],
+     "spectrum --family gegenbauer requires --q"),
+    (["eigenfunction", "--family", "poschl-teller", "--l", "2"],
+     "eigenfunction --family poschl-teller requires --n"),
+    (["eigenfunction", "--family", "poschl-teller", "--n", "0", "--z", "0.5"],
+     "eigenfunction --family poschl-teller requires --l"),
+    (["map", "--z", "0.5"], "map requires --gamma"),
+    (["map", "--gamma", "1"], "map requires --z"),
+    (["scatter", "--l", "2"], "scatter --family poschl-teller requires --k"),
+    (["scatter", "--k", "1"], "scatter --family poschl-teller requires --l"),
+    (["scatter", "--family", "rosen-morse", "--k", "1"],
+     "scatter --family rosen-morse requires --nprime"),
+    (["oracle", "--grid-points", "801"], "oracle requires --family"),
+    (["deformed", "--beta", "2"], "deformed requires --alpha"),
+    (["deformed", "--alpha", "1", "--n", "2"], "deformed requires --beta"),
+]
+
+
+@pytest.mark.parametrize("argv,message", MISSING_KEYS,
+                         ids=[message.rsplit(" ", 1)[-1] + "-" + argv[0]
+                              for argv, message in MISSING_KEYS])
+def test_missing_key_exits_2_with_one_line(argv, message, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, argv[0], calls.append)
+    code, out, err = run(argv, capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: {message}\n"
 
 
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):
@@ -481,7 +555,8 @@ OVERSIZED = [
      "1e+10 grid points"),
     (["deformed", "--alpha", "1", "--beta", "2", "--grid-min", "-0.4", "--grid-max", "8",
       "--grid-points", "10000000000"], "1e+10 grid points"),
-    (["scatter", "--k", "1", "--grid-max", "1e300"], "8e+303 RK4 lattice points"),
+    (["scatter", "--k", "1", "--l", "2", "--scatter-half-width", "1e300"],
+     "8e+303 RK4 lattice points"),
     # sizes past the double range
     (["spectrum", "--family", "poschl-teller", "--l", "1e400"], "1.000e+400 levels"),
     (["oracle", "--family", "rosen-morse", "--nprime", "1e400"], "1.000e+400 levels"),
@@ -595,6 +670,10 @@ fuzz_config = st.none() | st.sampled_from([
 ])
 
 
+def _reject_non_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @given(argv=fuzz_argv, config=fuzz_config)
 @example(argv=["spectrum", *PT, "--l=-3"], config=None)
 @example(argv=["spectrum", *PT, "--l=1"], config="grid_points = abc\n")
@@ -605,6 +684,8 @@ fuzz_config = st.none() | st.sampled_from([
 @example(argv=["scatter", *PT, "--l=2", "--k=1e300"], config=None)
 @example(argv=["scatter", *PT, "--l=2", "--k=1e154"], config=None)
 @example(argv=["scatter", "--family", "rosen-morse", "--nprime=2", "--k=1e200"], config=None)
+# an overflowing residual is a numerical failure, not a NaN in the report
+@example(argv=["deformed", "--alpha=1e300", "--beta=1e300"], config=None)
 @settings(max_examples=60, deadline=None)
 @pytest.mark.filterwarnings("error")
 def test_exit_code_contract_fuzz(argv, config, tmp_path_factory):
@@ -612,14 +693,16 @@ def test_exit_code_contract_fuzz(argv, config, tmp_path_factory):
         path = tmp_path_factory.mktemp("config") / "susyqm.conf"
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    err = err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
         assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code in (0, 1) and parse_command(argv).fmt == "json":
+        json.loads(out, parse_constant=_reject_non_json_constant)
 
 
 # every verify section, with the grid flags drawn from all floats (nan and
@@ -829,13 +912,15 @@ SCATTER_PINS = [
     (["--family", "rosen-morse", "--nprime", "5/2", "--k", "2"],
      1.3949272132892416e-05, 0.999986050727871, -3.774758283725532e-15,
      1.8416190339202998e-17),
-    (["--family", "poschl-teller", "--l", "7/4", "--k", "0.25", "--grid-max", "15"],
+    (["--family", "poschl-teller", "--l", "7/4", "--k", "0.25",
+      "--scatter-half-width", "15"],
      0.39853681534099716, 0.6014631846590034, -4.440892098500626e-16, 2.6240121187015575e-13),
     (["--family", "poschl-teller", "--l", "0", "--k", "3"],
      4.930380657631343e-32, 1.000000000000004, -3.9968028886505635e-15,
      1.9366382682739073e-44),
     # 40001 coarse steps: an odd count, whose middle coarse step straddles z = 0
-    (["--family", "poschl-teller", "--l", "3/2", "--k", "1", "--grid-max", "20.0005"],
+    (["--family", "poschl-teller", "--l", "3/2", "--k", "1",
+      "--scatter-half-width", "20.0005"],
      0.0074419501427965395, 0.9925580498572021, 1.3322676295501878e-15,
      2.5890747878953846e-15),
 ]
@@ -1048,12 +1133,12 @@ def test_csv_from_config_is_rejected_before_running(tmp_path, monkeypatch, capsy
 
 
 def argv_from_report(rep):
+    # every echoed key but the positional section is the flag of the same name
+    params = dict(rep["parameters"])
     argv = [rep["command"]]
-    if rep["command"] == "verify":
-        argv.append(rep["parameters"]["section"])
-    for key, value in sorted(rep["parameters"].items()):
-        if key in ("section", "scatter_step", "scatter_half_width"):
-            continue
+    if "section" in params:
+        argv.append(params.pop("section"))
+    for key, value in sorted(params.items()):
         argv.extend([f"--{key.replace('_', '-')}", str(value)])
     return argv
 
@@ -1068,12 +1153,31 @@ def argv_from_report(rep):
     ["verify", "ladder", "--l-max", "2"],
     ["verify", "scatter"],
     ["verify", "deformed"],
+    ["scatter", "--l", "3/2", "--k", "1", "--scatter-half-width", "15"],
+    ["verify", "scatter", "--scatter-step", "2e-3"],
 ])
 def test_report_roundtrip_reproduces_itself(argv, capsys):
     code, first, _ = run(argv, capsys)
     assert code == 0
     rebuilt = argv_from_report(json.loads(first))
     code, second, _ = run(rebuilt, capsys)
+    assert code == 0
+    assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--family", "rosen-morse", "--nprime", "5/2", "--k", "2"],
+    ["verify", "scatter"],
+], ids=lambda argv: argv[0] + argv[1] if argv[0] == "verify" else argv[0])
+def test_report_from_config_scatter_keys_replays_without_the_file(argv, tmp_path, capsys):
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("scatter_half_width = 15\nscatter_step = 2e-3\n")
+    code, first, _ = run([*argv, "--config", str(cfg)], capsys)
+    assert code == 0
+    rep = json.loads(first)
+    assert (rep["parameters"]["scatter_half_width"],
+            rep["parameters"]["scatter_step"]) == (15.0, 2e-3)
+    code, second, _ = run(argv_from_report(rep), capsys)
     assert code == 0
     assert first == second
 
