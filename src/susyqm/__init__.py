@@ -20,12 +20,12 @@ from .spectra import (
     rosen_morse_eigenfunction,
 )
 from .susy_core import (
-    ClosedFormSuperpotential, PartnerPair, annihilation_check, partner_potentials,
-    riccati_residual, shape_invariance_remainder, si_level_energy,
+    ClosedFormSuperpotential, PartnerPair, partner_potentials, riccati_residual,
+    shape_invariance_remainder, si_level_energy,
 )
 from .tanh_algebra import (
-    HypWave, TanhPoly, apply_ladder, apply_lowering, as_fraction,
-    eigen_residual_symbolic, eval_wave, ladder_chain, ladder_tower,
+    HypWave, TanhPoly, as_fraction, eigen_residual_symbolic, eval_wave, ladder_chain,
+    ladder_tower,
 )
 
 __version__ = "0.1.0"

@@ -348,8 +348,8 @@ def checks_riccati(params: dict) -> list[dict]:
         diff_ok = (pair.v2 - pair.v1) == 2 * w.derivative_tanh_poly()
         out.append(check(f"partner-difference-2wprime-k-{k}-s-{s}", passed=diff_ok))
     for k in (Fraction(1), Fraction(5), Fraction(3, 2)):
-        out.append(check(f"annihilation-k-{k}",
-                         passed=susy_core.annihilation_check(k).is_zero))
+        w = susy_core.ClosedFormSuperpotential(k)
+        out.append(check(f"annihilation-k-{k}", passed=w.apply_a(w.ground_state()).is_zero))
     return out
 
 
@@ -379,9 +379,10 @@ def checks_ladder(params: dict) -> list[dict]:
     out = []
     for l in range(1, l_max + 1):
         well = PoschlTeller(l)
+        v = well.tanh_poly()
         waves = [towers[l - n][n] for n in range(l + 1)]  # n = l is the edge state
         residuals_ok = all(
-            eigen_residual_symbolic(waves[n], well, well.energy(n)).is_zero
+            eigen_residual_symbolic(waves[n], v, well.energy(n)).is_zero
             for n in well.levels()
         )
         out.append(check(f"ladder-residuals-l-{l}", passed=residuals_ok))
@@ -394,7 +395,7 @@ def checks_ladder(params: dict) -> list[dict]:
         if l > l_max:
             continue
         resid = eigen_residual_symbolic(
-            orthopoly.assoc_legendre(l, m), PoschlTeller(l), -Fraction(m) ** 2)
+            orthopoly.assoc_legendre(l, m), PoschlTeller(l).tanh_poly(), -Fraction(m) ** 2)
         out.append(check(f"assoc-legendre-eigenpair-l-{l}-m-{m}", passed=resid.is_zero))
     return out
 
@@ -493,10 +494,13 @@ def _fd_vs_closed_form(fams: list[PoschlTeller | RosenMorseII], grid: fd_oracle.
 
 
 def _fd_record(check_id: str, exact: list[float], evs: list[float], tol: float) -> dict:
-    """The largest |FD - closed form| over the levels; a count mismatch fails."""
-    count_ok = len(evs) == len(exact)
-    worst = _worst(np.subtract(evs, exact)) if count_ok else math.inf
-    return check(check_id, worst, 0.0, tol, "fd-oracle", passed=count_ok and worst <= tol)
+    """The largest |FD - closed form| over the levels; a count mismatch fails
+    and names both counts."""
+    if len(evs) != len(exact):
+        return check(check_id, f"{len(evs)} FD levels, {len(exact)} closed-form", 0.0, tol,
+                     "fd-oracle", passed=False)
+    worst = _worst(np.subtract(evs, exact))
+    return check(check_id, worst, 0.0, tol, "fd-oracle", passed=worst <= tol)
 
 
 def checks_spectra(params: dict) -> list[dict]:
@@ -513,7 +517,7 @@ def checks_spectra(params: dict) -> list[dict]:
         n_prime, b = fam.n_prime, fam.B
         out.append(_fd_record(f"fd-vs-closed-form-tilted-{n_prime}-{b}", exact, evs, tol))
         resid_ok = all(
-            eigen_residual_symbolic(fam.eigenfunction(n), fam, fam.energy(n)).is_zero
+            eigen_residual_symbolic(fam.eigenfunction(n), fam.tanh_poly(), fam.energy(n)).is_zero
             for n in levels
         )
         out.append(check(f"tilted-eigenpair-residuals-{n_prime}-{b}", passed=resid_ok))
@@ -627,7 +631,7 @@ def run_eigenfunction(params: dict) -> dict:
     fam = _family(params)
     wave = fam.eigenfunction(params["n"])
     energy = fam.energy(params["n"])
-    residual_zero = eigen_residual_symbolic(wave, fam, energy).is_zero
+    residual_zero = eigen_residual_symbolic(wave, fam.tanh_poly(), energy).is_zero
     return {
         "wave": _wave_payload(wave, params.get("z")),
         "energy": float(energy),

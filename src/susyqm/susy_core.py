@@ -1,6 +1,8 @@
 """Factorization engine: superpotentials, partner potentials, shape invariance.
 
-With c = hbar/sqrt(2m) = 1 a superpotential W generates the partner pair
+With c = hbar/sqrt(2m) = 1 a superpotential W gives the factorization
+operators A = d/dz + W and A^dagger = -d/dz + W, the ground state e^{-int W}
+that A annihilates, and the partner pair H1 = A^dagger A, H2 = A A^dagger with
 V1 = W^2 - W', V2 = W^2 + W'.  For the closed family W = k tanh z + s both
 partners are polynomials in t = tanh z, the pair is shape invariant for every
 rational k, and the algebraic spectrum follows from the x-independent
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tanh_algebra import HypWave, TanhPoly, apply_lowering, as_fraction
+from .tanh_algebra import HypWave, TanhPoly, _d_poly, as_fraction
 
 
 @dataclass(frozen=True)
@@ -37,29 +39,38 @@ class ClosedFormSuperpotential:
     def values(self, z: np.ndarray) -> np.ndarray:
         return float(self.k) * np.tanh(np.asarray(z, dtype=float)) + float(self.s)
 
+    def ground_state(self) -> HypWave:
+        """e^{-int W} = sech^k z e^{-s z} = (1-t)^((k+s)/2) (1+t)^((k-s)/2)."""
+        return HypWave((self.k + self.s) / 2, (self.k - self.s) / 2, TanhPoly.one())
+
+    def apply_a(self, w: HypWave) -> HypWave:
+        """A w = (d/dz + W) w, exact."""
+        return HypWave(w.a, w.b, _d_poly(w.a, w.b, w.poly) + self.tanh_poly() * w.poly,
+                       w.prefactor)
+
+    def apply_a_dagger(self, w: HypWave) -> HypWave:
+        """A^dagger w = (-d/dz + W) w, exact."""
+        return HypWave(w.a, w.b, -_d_poly(w.a, w.b, w.poly) + self.tanh_poly() * w.poly,
+                       w.prefactor)
+
 
 @dataclass(frozen=True)
 class PartnerPair:
-    """V1 = W^2 - W' and V2 = W^2 + W' as exact polynomials in t, plus the sech-well offset.
+    """V1 = W^2 - W' and V2 = W^2 + W' as exact polynomials in t.
 
-    For W = k tanh z + s the first partner can be read as the sech^2 well
-    shifted upward: V1 = -k(k+1) sech^2 z + 2 k s tanh z + ground_offset with
-    ground_offset = k^2 + s^2.  The offset is carried explicitly instead of
-    re-zeroing energies, since both conventions (ground state at 0 versus well
-    asymptote at 0) are in routine use.
+    V1 is the potential of H1 = A^dagger A, whose ground state sits at
+    energy zero, and V2 that of H2 = A A^dagger.
     """
 
     v1: TanhPoly
     v2: TanhPoly
-    ground_offset: Fraction
 
 
 def partner_potentials(w: ClosedFormSuperpotential) -> PartnerPair:
     """Build the partner pair as exact polynomials in t = tanh z."""
     wp = w.tanh_poly()
     dwp = w.derivative_tanh_poly()
-    return PartnerPair(v1=wp * wp - dwp, v2=wp * wp + dwp,
-                       ground_offset=w.k * w.k + w.s * w.s)
+    return PartnerPair(v1=wp * wp - dwp, v2=wp * wp + dwp)
 
 
 def riccati_residual(zs: np.ndarray, v1: np.ndarray, w: ClosedFormSuperpotential) -> float:
@@ -98,10 +109,3 @@ def si_level_energy(k, n: int) -> Fraction:
     for j in range(int(n)):
         total += shape_invariance_remainder(kf - j)[0]
     return total
-
-
-def annihilation_check(k) -> TanhPoly:
-    """Residual polynomial of (d/dz + k tanh z) sech^k z; zero iff annihilated."""
-    kf = as_fraction(k)
-    result = apply_lowering(kf, HypWave.sech_power(kf))
-    return result.prefactor * result.poly

@@ -2,7 +2,7 @@
 
 Every bound state handled by this package is such a product of fractional
 powers of (1 -+ tanh z) and a polynomial in tanh z.  Since d/dz = (1-t^2) d/dt
-maps this class into itself, differentiation, ladder operators and eigenvalue
+maps this class into itself, differentiation, the ladder chain and eigenvalue
 residuals can all be carried out with exact rational coefficients (held as
 ints times one rational content); a closed form is an eigenfunction if and
 only if its residual polynomial is identically zero, with no tolerances
@@ -450,34 +450,18 @@ def _d_poly(a: Fraction, b: Fraction, poly: TanhPoly) -> TanhPoly:
     return TanhPoly._from_ints(_d_ints(A, B, d, poly._prim), poly._num, poly._den * d)
 
 
-def apply_ladder(k, w: HypWave) -> HypWave:
-    """Apply the raising operator -d/dz + k tanh z exactly.
-
-    -d/dz + k tanh z = -cosh^k z (d/dz) sech^k z, and sech^k z only adds k/2
-    to both weight exponents, so this is one _d_poly at shifted exponents.
-    """
-    kf = as_fraction(k)
-    if w.is_zero:
-        return w
-    half = kf / 2
-    return HypWave(w.a, w.b, -_d_poly(w.a + half, w.b + half, w.poly), w.prefactor)
-
-
-def apply_lowering(k, w: HypWave) -> HypWave:
-    """Apply the annihilation operator d/dz + k tanh z = -(-d/dz - k tanh z) exactly."""
-    return -apply_ladder(-as_fraction(k), w)
-
-
 def _ladder_halves(depth: Fraction, n: int):
     """Yield, for j = 0 .. n, the nonzero half of the chain polynomial after j
     raising steps at depth δ: (-1)^j / D^j times the int list h, where h[k] is
     the coefficient of t^(j % 2 + 2k) and D is the denominator of δ.
 
-    As in apply_ladder, raising by k = δ + 1 + j at weights δ/2 is -_d_poly at
-    exponents (2δ + 1 + j)/2, and with δ = N/D the t^i coefficient of that
-    _d_poly times -D is D (i+1) p_(i+1) - (2N + (i+j) D) p_(i-1).  Step j's
-    polynomial has parity (-1)^j, so only every other power is carried, and
-    no gcd is taken.
+    Step j applies A^dagger = -d/dz + k tanh z of W = k tanh z, k = δ + 1 + j
+    (ClosedFormSuperpotential.apply_a_dagger).  It equals -cosh^k z (d/dz)
+    sech^k z, and sech^k z only adds k/2 to both weight exponents, so at
+    weights δ/2 it is -_d_poly at exponents (2δ + 1 + j)/2; with δ = N/D the
+    t^i coefficient of that _d_poly times -D is
+    D (i+1) p_(i+1) - (2N + (i+j) D) p_(i-1).  Step j's polynomial has parity
+    (-1)^j, so only every other power is carried, and no gcd is taken.
     """
     N, D = depth.numerator, depth.denominator
     h = [1]
@@ -536,22 +520,14 @@ def ladder_chain(n_prime, n: int) -> HypWave:
     return _ladder_wave(depth, n, h)
 
 
-def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
-    """Residual polynomial of (-d^2/dz^2 + V - E) w for exact tanh-form potentials.
+def eigen_residual_symbolic(w: HypWave, v: TanhPoly, E) -> TanhPoly:
+    """Residual polynomial of (-d^2/dz^2 + V - E) w for V = v(tanh z).
 
-    The family must expose an exact polynomial V(tanh z) via fam.tanh_poly(),
-    as the sech^2 and tanh^2/tanh wells do; any other object is rejected.
     The common weight (1-t)^a (1+t)^b is factored out and the remaining
     polynomial returned: it is identically zero iff (w, E) is an exact
     eigenpair.
     """
     E = as_fraction(E)
-    try:
-        v_poly = fam.tanh_poly()
-    except AttributeError:
-        raise ValueError(
-            f"potential family {fam!r} has no exact tanh-polynomial form"
-        ) from None
     if w.is_zero:
         return TanhPoly.zero()
     # with a = A/d and b = B/d, the polynomial part of d^2/dz^2 at weights (a, b)
@@ -563,7 +539,7 @@ def eigen_residual_symbolic(w: HypWave, fam, E) -> TanhPoly:
     A = w.a.numerator * (d // w.a.denominator)
     B = w.b.numerator * (d // w.b.denominator)
     p = w.poly
-    c = (v_poly - TanhPoly.constant(E)) * p
+    c = (v - TanhPoly.constant(E)) * p
     f1, f2 = -p._num * c._den, c._num * p._den * d * d
     out = [f1 * x for x in _d_ints(A, B, d, _d_ints(A, B, d, p._prim))]
     out += [0] * (len(c._prim) - len(out))

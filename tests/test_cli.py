@@ -5,10 +5,13 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -720,17 +723,32 @@ fuzz_verify_argv = st.builds(
 @given(argv=fuzz_verify_argv)
 @example(argv=["verify", "all"])
 @example(argv=["verify", "spectra", "--grid-min=1e-300", "--grid-max=2e-300"])
+# a grid too coarse for every level is a failed check, not an Infinity
+@example(argv=["verify", "spectra", "--grid-points=5"])
 @settings(max_examples=80, deadline=None)
 @pytest.mark.filterwarnings("error")
 def test_verify_exit_code_contract_fuzz(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    err = err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
         assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code in (0, 1) and parse_command(argv).fmt == "json":
+        json.loads(out, parse_constant=_reject_non_json_constant)
+
+
+def test_fd_level_count_mismatch_names_both_counts(capsys):
+    code, out, err = run(["verify", "spectra", "--grid-points", "5"], capsys)
+    assert (code, err) == (1, "")
+    records = {r["id"]: r for r in json.loads(
+        out, parse_constant=_reject_non_json_constant)["sections"]["spectra"]}
+    record = records["fd-vs-closed-form-sech-l-2"]
+    assert record["computed"] == "1 FD levels, 2 closed-form"
+    assert record["pass"] is False
+    assert records["fd-level-count-sech-l-2"]["computed"] == 1
 
 
 def test_spectrum_exits_0(capsys):
@@ -862,6 +880,49 @@ def test_map_and_deformed_golden(command, exit_code, sha, capsys):
     code, out, err = run(command.split(), capsys)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+# sha256 of the exact stdout of the verify sections that build W, A, A^dagger
+# and the ladder chain, taken when A and A^dagger were tanh_algebra ladder
+# operators without the shift s
+VERIFY_SECTION_GOLDEN = [
+    ("verify riccati",
+     "46adcb311c70aea5bdf098d7b144c86a34ace939600189dfedbcba868c206b64"),
+    ("verify shape-invariance",
+     "4ca3d56b5b8bbb4b9af64b167700ec9df85d8ae4ee6867cfe783a453c49637cc"),
+    ("verify ladder",
+     "74cdc0e47e228b956d52fe2b03443bb7ec41b19d2668c70489d5bc1b4faf94cf"),
+    ("verify relations",
+     "4392b6b0f81b336e4e3a6defa457950e2d3ef9da0a566e3bdad4b468f1fb5fe2"),
+]
+
+
+@pytest.mark.parametrize("command,sha", VERIFY_SECTION_GOLDEN,
+                         ids=[command.replace(" ", "-") for command, _sha in VERIFY_SECTION_GOLDEN])
+def test_verify_section_golden(command, sha, capsys):
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    for line in block.splitlines() if line.startswith("susyqm ")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_examples_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    if "--output" in argv:
+        assert out == ""
+        out = (tmp_path / argv[argv.index("--output") + 1]).read_text(encoding="utf-8")
+    if "csv" not in argv:
+        json.loads(out, parse_constant=_reject_non_json_constant)
 
 
 @pytest.mark.parametrize("z", ["40", "1000"])

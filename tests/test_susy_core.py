@@ -6,8 +6,8 @@ from hypothesis import given, settings
 
 from conftest import rationals
 from susyqm import (
-    ClosedFormSuperpotential, Grid, TanhPoly, annihilation_check,
-    PoschlTeller, partner_potentials, riccati_residual,
+    ClosedFormSuperpotential, Grid, PoschlTeller, RosenMorseII, TanhPoly,
+    eigen_residual_symbolic, partner_potentials, riccati_residual,
     shape_invariance_remainder, si_level_energy,
 )
 
@@ -22,14 +22,12 @@ def test_partner_examples():
     pair = partner_potentials(closed(1))
     assert pair.v1 == TanhPoly((-1, 0, 2))   # 1 - 2 sech^2 = 2t^2 - 1
     assert pair.v2 == TanhPoly((1,))         # constant 1
-    assert pair.ground_offset == 1
 
     # W = k tanh z: V1 = k^2 - k(k+1) sech^2, i.e. k(k+1) t^2 - k
     for k in (2, 3, Fraction(5, 2)):
         pair = partner_potentials(closed(k))
         kf = Fraction(k)
         assert pair.v1 == TanhPoly((-kf, 0, kf * (kf + 1)))
-        assert pair.ground_offset == kf * kf
 
     pair = partner_potentials(closed(0))
     assert pair.v1.is_zero and pair.v2.is_zero
@@ -83,6 +81,38 @@ def test_si_recursion_reproduces_shifted_tower():
 
 
 def test_annihilation():
-    assert annihilation_check(1).is_zero
-    assert annihilation_check(5).is_zero
-    assert annihilation_check(Fraction(3, 2)).is_zero
+    for k in (1, 5, Fraction(3, 2)):
+        w = closed(k)
+        assert w.apply_a(w.ground_state()).is_zero
+
+
+def partner_family(w):
+    """The closed-form well whose potential plus a constant is V1 = W^2 - W',
+    and that constant."""
+    if w.s == 0:
+        return PoschlTeller(w.k), w.k * w.k
+    return RosenMorseII(w.k, -w.k * w.s), w.s * w.s - w.k
+
+
+@pytest.mark.parametrize("k,s", [
+    (1, 0), (2, 0), (Fraction(3, 2), Fraction(1, 2)), (2, Fraction(1, 2)),
+    (5, 0), (Fraction(7, 2), 0), (3, Fraction(-1, 2)),
+], ids=str)
+def test_partners_share_every_level_but_the_ground_state(k, s):
+    # H1 = A^dagger A and H2 = A A^dagger, so A H1 = H2 A: A maps level n of
+    # V1 onto a level of V2 at the same energy, and annihilates the ground state
+    w = closed(k, s)
+    pair = partner_potentials(w)
+    fam, shift = partner_family(w)
+    assert fam.tanh_poly() + TanhPoly.constant(shift) == pair.v1
+    for n in fam.levels():
+        psi, energy = fam.eigenfunction(n), fam.energy(n) + shift
+        assert eigen_residual_symbolic(psi, pair.v1, energy).is_zero
+        a_psi = w.apply_a(psi)
+        if n == 0:
+            assert a_psi.is_zero and energy == 0
+        else:
+            assert eigen_residual_symbolic(a_psi, pair.v2, energy).is_zero
+            off = energy + Fraction(1, 1000)
+            assert not eigen_residual_symbolic(a_psi, pair.v2, off).is_zero
+        assert w.apply_a_dagger(a_psi) == energy * psi

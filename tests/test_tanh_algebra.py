@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ import hypothesis.strategies as st
 
 from conftest import hyp_waves, nonzero_rationals, rationals, small_exponents, tanh_polys
 from susyqm import (
-    HypWave, PoschlTeller, RosenMorseII, TanhPoly, apply_ladder,
-    apply_lowering, eigen_residual_symbolic, eval_wave, ladder_chain, ladder_tower,
+    ClosedFormSuperpotential, HypWave, PoschlTeller, RosenMorseII, TanhPoly,
+    eigen_residual_symbolic, eval_wave, ladder_chain, ladder_tower,
 )
 from susyqm.cli import _wave_payload
 from susyqm.tanh_algebra import _d_poly
@@ -22,8 +21,8 @@ T = TanhPoly.t()
 
 
 def d_dz(w: HypWave) -> HypWave:
-    # the raising operator at k = 0 is -d/dz
-    return -apply_ladder(0, w)
+    # A = d/dz + W at W = 0 is d/dz
+    return ClosedFormSuperpotential(0).apply_a(w)
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +245,35 @@ def test_differentiate_examples():
     assert d_dz(HypWave(0, 0, T)) == HypWave(1, 1, TanhPoly.one())
 
 
-def test_apply_ladder_examples():
-    assert apply_ladder(1, SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 2)
-    assert apply_ladder(0, HypWave(0, 0, TanhPoly.one())).is_zero
-    assert apply_ladder(2, SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 3)
+def test_apply_a_dagger_examples():
+    def a_dagger(k, w):
+        return ClosedFormSuperpotential(k).apply_a_dagger(w)
+
+    assert a_dagger(1, SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 2)
+    assert a_dagger(0, HypWave(0, 0, TanhPoly.one())).is_zero
+    assert a_dagger(2, SECH) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 3)
 
 
-@given(w=hyp_waves(), k=rationals)
+@given(w=hyp_waves(), k=rationals, s=rationals)
 @settings(max_examples=80)
-def test_ladder_is_minus_derivative_plus_k_t(w, k):
-    direct = apply_ladder(k, w)
-    assembled = -d_dz(w) + k * HypWave(w.a, w.b, w.poly * T, w.prefactor)
+def test_a_dagger_is_minus_derivative_plus_w(w, k, s):
+    W = ClosedFormSuperpotential(k, s)
+    direct = W.apply_a_dagger(w)
+    assembled = -d_dz(w) + HypWave(w.a, w.b, w.poly * W.tanh_poly(), w.prefactor)
     assert direct == assembled
+    # -d/dz + W = -e^{int W} (d/dz) e^{-int W}, and e^{-int W} only shifts the
+    # weight exponents by those of the ground state
+    g = W.ground_state()
+    conjugated = HypWave(w.a, w.b, -_d_poly(w.a + g.a, w.b + g.b, w.poly), w.prefactor)
+    assert direct == conjugated
 
 
-@given(w=hyp_waves(), k=rationals)
+@given(w=hyp_waves(), k=rationals, s=rationals)
 @settings(max_examples=40)
-def test_lowering_plus_raising_is_2kt(w, k):
-    total = apply_lowering(k, w) + apply_ladder(k, w)
-    assert total == (2 * k) * HypWave(w.a, w.b, w.poly * T, w.prefactor)
+def test_a_plus_a_dagger_is_2w(w, k, s):
+    W = ClosedFormSuperpotential(k, s)
+    total = W.apply_a(w) + W.apply_a_dagger(w)
+    assert total == 2 * HypWave(w.a, w.b, w.poly * W.tanh_poly(), w.prefactor)
 
 
 def test_ladder_chain_examples():
@@ -296,7 +305,7 @@ def test_ladder_chain_large_tower_needs_bigints():
     # around n' ~ 20, so exact arithmetic must be arbitrary precision
     w = ladder_chain(20, 19)
     assert max(abs((w.prefactor * c).numerator) for c in w.poly.coeffs) > 2 ** 63
-    assert eigen_residual_symbolic(w, PoschlTeller(20), -1).is_zero
+    assert eigen_residual_symbolic(w, PoschlTeller(20).tanh_poly(), -1).is_zero
 
 
 depths = st.one_of(
@@ -313,7 +322,7 @@ def test_ladder_tower_matches_repeated_raising(depth, n):
     w = HypWave.sech_power(depth)
     expected = [w]
     for j in range(n):
-        w = apply_ladder(depth + 1 + j, w)
+        w = ClosedFormSuperpotential(depth + 1 + j).apply_a_dagger(w)
         expected.append(w)
     assert ladder_tower(depth, n) == expected
     assert ladder_chain(depth + n, n) == expected[-1]
@@ -348,10 +357,10 @@ def test_deep_ladder_chain_golden(build, sha):
 # symbolic eigen-residuals
 
 
-def ref_residual(w, fam, E):
+def ref_residual(w, v, E):
     """-_d_poly(_d_poly(P)) + (V - E) P from TanhPoly operations, times the prefactor."""
     d2 = _d_poly(w.a, w.b, _d_poly(w.a, w.b, w.poly))
-    return w.prefactor * (-d2 + (fam.tanh_poly() - TanhPoly.constant(E)) * w.poly)
+    return w.prefactor * (-d2 + (v - TanhPoly.constant(E)) * w.poly)
 
 
 wells = st.one_of(
@@ -366,39 +375,36 @@ wells = st.one_of(
 @given(w=hyp_waves(), fam=wells, E=rationals)
 @settings(max_examples=80)
 def test_residual_matches_reference(w, fam, E):
-    assert eigen_residual_symbolic(w, fam, E) == ref_residual(w, fam, E)
+    v = fam.tanh_poly()
+    assert eigen_residual_symbolic(w, v, E) == ref_residual(w, v, E)
 
 
 @given(fam=wells, data=st.data())
 @settings(max_examples=40)
 def test_residual_of_eigenpairs_matches_reference(fam, data):
     n = data.draw(st.sampled_from(fam.levels()[:10]))
-    w, E = fam.eigenfunction(n), fam.energy(n)
-    assert eigen_residual_symbolic(w, fam, E).is_zero
+    w, E, v = fam.eigenfunction(n), fam.energy(n), fam.tanh_poly()
+    assert eigen_residual_symbolic(w, v, E).is_zero
     shifted = E + Fraction(1, 1000)
-    resid = eigen_residual_symbolic(w, fam, shifted)
-    assert not resid.is_zero and resid == ref_residual(w, fam, shifted)
+    resid = eigen_residual_symbolic(w, v, shifted)
+    assert not resid.is_zero and resid == ref_residual(w, v, shifted)
 
 
 def test_residual_examples():
-    assert eigen_residual_symbolic(SECH, PoschlTeller(1), -1).is_zero
+    v1, v2 = PoschlTeller(1).tanh_poly(), PoschlTeller(2).tanh_poly()
+    assert eigen_residual_symbolic(SECH, v1, -1).is_zero
     w = HypWave(Fraction(1, 2), Fraction(1, 2), T, 3)
-    assert eigen_residual_symbolic(w, PoschlTeller(2), -1).is_zero
+    assert eigen_residual_symbolic(w, v2, -1).is_zero
     # wrong energy: residual is (E_true - E) w = -1 * w
-    assert eigen_residual_symbolic(SECH, PoschlTeller(1), 0) == TanhPoly((-1,))
-
-
-def test_residual_rejects_family_without_tanh_form():
-    sampled = SimpleNamespace(values=lambda z: -2.0 / np.cosh(z) ** 2)
-    with pytest.raises(ValueError, match="no exact tanh-polynomial form"):
-        eigen_residual_symbolic(SECH, sampled, -1)
+    assert eigen_residual_symbolic(SECH, v1, 0) == TanhPoly((-1,))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 6])
 def test_tower_residuals_zero(l):
     for n in range(l):
         w = ladder_chain(l, n)
-        assert eigen_residual_symbolic(w, PoschlTeller(l), PoschlTeller(l).energy(n)).is_zero
+        well = PoschlTeller(l)
+        assert eigen_residual_symbolic(w, well.tanh_poly(), well.energy(n)).is_zero
 
 
 # ---------------------------------------------------------------------------
