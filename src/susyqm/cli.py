@@ -35,7 +35,7 @@ import numpy as np
 
 from . import coordinate_maps as cmaps
 from . import fd_oracle, orthopoly, spectra, susy_core
-from .potentials import PoschlTeller, RosenMorseII
+from .potentials import PoschlTeller, RosenMorseII, potential_values
 from .tanh_algebra import HypWave, eigen_residual_symbolic, eval_wave, ladder_tower
 from .tanh_algebra import ladder_chain  # noqa: F401  (perfbench's tracer test wraps cli.ladder_chain)
 
@@ -342,7 +342,7 @@ def checks_riccati(params: dict) -> list[dict]:
                  (Fraction(3, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1))):
         w = susy_core.ClosedFormSuperpotential(k, s)
         pair = susy_core.partner_potentials(w)
-        resid = susy_core.riccati_residual(zs, pair.v1.values(np.tanh(zs)), w)
+        resid = susy_core.riccati_residual(zs, potential_values(pair.v1, zs), w)
         out.append(check(f"riccati-roundtrip-k-{k}-s-{s}", resid, 0.0, 1e-10,
                          "closed-form"))
         diff_ok = (pair.v2 - pair.v1) == 2 * w.derivative_tanh_poly()
@@ -771,10 +771,14 @@ def _jsonable(value):
 
 
 def render_json(report: dict) -> str:
+    """The report as JSON; a NaN or infinite number in it raises NumericalError."""
     # json.dump writes each chunk as it goes; json.dumps with an indent first
     # lists every chunk of the report
     buf = io.StringIO()
-    json.dump(report, buf, indent=2, sort_keys=True, default=_jsonable)
+    try:
+        json.dump(report, buf, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
+    except ValueError as exc:
+        raise fd_oracle.NumericalError(f"the report is not JSON: {exc}") from exc
     buf.write("\n")
     return buf.getvalue()
 

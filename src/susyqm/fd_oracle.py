@@ -1,15 +1,17 @@
 """Independent numerical verification: finite differences, Sturm multisection, scattering.
 
-Nothing here reuses the closed-form machinery, so agreement between this
-module and the algebraic results is a genuine cross-check.  Defaults: z in
-[-12, 12] with 2001 points (every sech-localized state of interest decays
-below 1e-10 by |z| = 12), Dirichlet boxes for bound states, eigenvalues
-bracketed to 1e-10 by Sturm multisection (63 interior shifts per bracket and
-sweep, a 200-sweep cap that raises when exhausted), and fixed-step classical
-4th-order integration with h = 1e-3 for scattering.  Operators of one size are
-solved as a batch: each sweep counts the shifts of every operator in one row
-loop, and each operator leaves the batch when all of its own brackets have
-converged, so its eigenvalues do not depend on what else is in the batch.
+Nothing here reuses the closed-form levels, energies or waves, so agreement
+between this module and the algebraic results is a genuine cross-check: a
+well enters only as V(z) = P(tanh z) for its exact tanh_poly() P, evaluated
+by potentials.potential_values.  Defaults: z in [-12, 12] with 2001 points
+(every sech-localized state of interest decays below 1e-10 by |z| = 12),
+Dirichlet boxes for bound states, eigenvalues bracketed to 1e-10 by Sturm
+multisection (63 interior shifts per bracket and sweep, a 200-sweep cap that
+raises when exhausted), and fixed-step classical 4th-order integration with
+h = 1e-3 for scattering.  Operators of one size are solved as a batch: each
+sweep counts the shifts of every operator in one row loop, and each operator
+leaves the batch when all of its own brackets have converged, so its
+eigenvalues do not depend on what else is in the batch.
 The row loop takes the rows in blocks, gathers each block's coefficients once
 per bracket, and checks the pivot floor once per block; it redoes a block row
 by row with the floor only where the floor would have fired, so the pivots
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialFamily, potential_values
+from .potentials import PotentialFamily, TanhPoly, potential_values
 
 BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200  # multisection sweeps
@@ -117,7 +119,7 @@ def discretize(fam: PotentialFamily, grid: Grid) -> TridiagonalOperator:
     inv_h2 = 1.0 / h2 if h2 else math.inf
     if inv_h2 == math.inf:
         raise NumericalError(f"grid spacing h = {grid.h:.3e} puts 1/h^2 past the double range")
-    v = potential_values(fam, grid.zs())
+    v = potential_values(fam.tanh_poly(), grid.zs())
     return TridiagonalOperator(
         diagonal=2.0 * inv_h2 + v,
         off_diagonal=np.full(grid.points - 1, -inv_h2),
@@ -378,9 +380,9 @@ def _ordered_product_delta(d: np.ndarray) -> np.ndarray:
     return d[..., 0]
 
 
-def _march(fam: PotentialFamily, energy: float, half_width: float,
-           n_steps: int) -> np.ndarray:
-    """Product deltas of both RK4 marches from z = L down to z = -L, for an even V.
+def _march(v: TanhPoly, energy: float, half_width: float, n_steps: int) -> np.ndarray:
+    """Product deltas of both RK4 marches from z = L down to z = -L, for the
+    even potential V(z) = v(tanh z).
 
     The coarse march takes n_steps steps of s_c = -2L/n_steps and the fine
     march 2 n_steps steps of s_f = s_c / 2 (exactly).  Only the half from L
@@ -390,18 +392,19 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
     itself and (psi, psi') onto P (psi, psi'), P = diag(1, -1).  So if R is
     the product over L..0, the march over 0..-L is P adj(R) P, which for a
     2x2 matrix is R with its diagonal entries swapped, R~, and the full
-    march is R~ R.  scattering_amplitudes refuses a well that is not even.
+    march is R~ R.  scattering_amplitudes refuses a v that is not even.
 
     The half runs on the fine march's half-step lattice,
     np.linspace(L, -L, 4 n_steps + 1)[:2 n_steps + 1], taken MARCH_BLOCK fine
-    steps at a time.  A block evaluates its new lattice points once, with
-    linspace's own formula j dz + L and the last point set to 0.0, so every
-    V is that of the linspace lattice bit for bit; it carries the point it
-    shares with the next block.  It scales once, u = s_f^2 (V - E) in place,
-    and the coarse march reads 4 u on every other point, which is
-    s_c^2 (V - E) exactly.  The fine step deltas are merged in pairs,
-    stacked beside the coarse ones, and both marches are reduced together
-    by _ordered_product_delta, then folded into running products.
+    steps at a time.  A block evaluates V on its new lattice points in one
+    potential_values call, with linspace's own formula j dz + L and the last
+    point set to 0.0, so every V is that of the linspace lattice bit for bit;
+    it carries the point it shares with the next block.  It scales once,
+    u = s_f^2 (V - E) in place, and the coarse march reads 4 u on every
+    other point, which is s_c^2 (V - E) exactly.  The fine step deltas are
+    merged in pairs, stacked beside the coarse ones, and both marches are
+    reduced together by _ordered_product_delta, then folded into running
+    products.
 
     For an odd n_steps the middle coarse step straddles 0.  The last block
     then appends the mirror images of its two points before 0, u(-z) = u(z),
@@ -409,13 +412,13 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
     the middle coarse step and the two fine steps around 0.  That centre C
     is its own mirror, and the march is R~ C R with R the product before it.
 
-    The potential must have decayed to within 1e-10 of the asymptote at
+    The potential must have decayed to within 1e-10 of its tail v(1) at
     z = +-L.  V(-L) is evaluated on its own and V(L) is the first lattice
     point; both are checked before the first block is marched.  Returns the
     product deltas as a 2 x 2 x 2 array, [i, j, march] with march 0 the
     coarse and 1 the fine.
     """
-    v_inf = fam.asymptotes[0]
+    v_inf = float(v(1))
     steps = 2 * n_steps
     s = -2.0 * half_width / steps
     dz = -2.0 * half_width / (2 * steps)  # linspace's (stop - start) / (points - 1)
@@ -431,7 +434,7 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
     pairs = work[10 * block + 3:].reshape(2, 2, 2, block // 2)
     total = np.zeros((2, 2, 2))
     centre = None
-    v_far = fam.values(np.array([-half_width]))[0]
+    v_far = potential_values(v, np.array([-half_width]))[0]
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
         first = 2 * start + (start > 0)  # the block's first new lattice point
@@ -441,9 +444,9 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
         z += half_width
         if stop == n_steps:
             z[-1] = 0.0
-        v = fam.values(z)
+        vz = potential_values(v, z)
         if start == 0:
-            defect = float(np.max(np.abs(np.subtract((v[0], v_far), v_inf))))
+            defect = float(np.max(np.abs(np.subtract((vz[0], v_far), v_inf))))
             if not (defect <= 1e-10):
                 raise NumericalError(
                     f"potential has not decayed at |z| = {half_width}: "
@@ -454,7 +457,7 @@ def _march(fam: PotentialFamily, energy: float, half_width: float,
         if start:
             u[0] = lattice[-1]  # the previous block, always a full one, ended there
         new = u[1:] if start else u
-        np.subtract(v, energy, out=new)
+        np.subtract(vz, energy, out=new)
         new *= s * s
         centred = m % 2  # only the last block of an odd march
         if centred:
@@ -494,33 +497,30 @@ def _amplitudes(p: list[list[float]], k: float, half_width: float) -> tuple[comp
 def scattering_amplitudes(fam: PotentialFamily, k: float,
                           half_width: float = SCATTER_HALF_WIDTH,
                           step: float = SCATTER_STEP) -> ScatteringResult:
-    """Reflection/transmission probabilities at wavenumber k above the asymptote.
+    """Reflection/transmission probabilities at wavenumber k above the tail.
 
-    The incident energy is E = k^2 + V_inf.  psi'' = (V - E) psi is marched
-    from +L to -L with the transmitted plane wave as seed, by classical
-    fixed-step RK4 at step h and at h/2 (_march, which marches +L to 0 and
-    mirrors it).  Unequal asymptotes, a well that is not even (its tanh_poly()
-    changes under t -> -t), or a V that has not decayed to within 1e-10 of
-    V_inf at +-L raise NumericalError before anything is marched.  Two built-in
-    sanity checks guard the integration: flux conservation
-    |R|^2 + |T|^2 = 1 within 1e-6, and agreement of |R|^2 between step h and
-    h/2 within 1e-7.  Violations raise NumericalError with diagnostics; a k,
-    half width or step that is not positive and finite raises ValueError.
+    The incident energy is E = k^2 + V_inf, with V_inf = P(1) for the well's
+    tanh_poly() P.  psi'' = (V - E) psi is marched from +L to -L with the
+    transmitted plane wave as seed, by classical fixed-step RK4 at step h and
+    at h/2 (_march, which marches +L to 0 and mirrors it).  A well that is not
+    even (P changes under t -> -t, which unequal tails P(-1) != P(1) always
+    do), or a V that has not decayed to within 1e-10 of V_inf at +-L, raises
+    NumericalError before anything is marched.  Two built-in sanity checks
+    guard the integration: flux conservation |R|^2 + |T|^2 = 1 within 1e-6,
+    and agreement of |R|^2 between step h and h/2 within 1e-7.  Violations
+    raise NumericalError with diagnostics; a k, half width or step that is
+    not positive and finite raises ValueError.
     """
     k, half_width, step = float(k), float(half_width), float(step)
     for name, value in (("wavenumber", k), ("half width", half_width), ("step", step)):
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    v_inf, right = fam.asymptotes
-    if v_inf != right:
-        raise NumericalError(
-            "scattering runs are restricted to symmetric tails; "
-            f"{fam!r} has unequal asymptotes {v_inf} and {right}"
-        )
     v = fam.tanh_poly()
+    v_inf = float(v(1))
     if v.reflected() != v:
         raise NumericalError(
-            f"scattering runs are restricted to even wells; {fam!r} has V(-z) != V(z)")
+            f"scattering runs are restricted to even wells; {fam!r} has V(-z) != V(z) "
+            f"(asymptotes {float(v(-1))} and {v_inf})")
 
     def probabilities(p: list[list[float]]) -> tuple[float, float]:
         a, b = _amplitudes(p, k, half_width)
@@ -539,7 +539,7 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
     n_steps = max(2, int(round(2.0 * half_width / step)))
     h = 2.0 * half_width / n_steps
     # Python floats, so results and the records built from them hold floats
-    coarse, fine = np.moveaxis(_march(fam, k * k + v_inf, half_width, n_steps), -1, 0).tolist()
+    coarse, fine = np.moveaxis(_march(v, k * k + v_inf, half_width, n_steps), -1, 0).tolist()
     r2_coarse = probabilities(coarse)[0]
     r2, t2 = probabilities(fine)
     drift = abs(r2 - r2_coarse)

@@ -5,12 +5,14 @@ Sign conventions, fixed once for the whole package (c = hbar/sqrt(2m) = 1):
   sech well          V(z) = -l(l+1) sech^2 z                         (continuum edge 0)
   tanh-tilted well   V(z) = n'(n'+1) tanh^2 z - 2B tanh z            (edges n'(n'+1) -+ 2B)
 
-Both wells are shape invariant and answer to one interface: tanh_poly() and
-values() give V, asymptotes and continuum_edge its tails, levels(), energy(n)
-and eigenfunction(n) the closed forms of its bound states, threshold_level the
-zero-energy edge state of an integer-depth sech well, and fd_ceiling the
-energy below which the finite-difference oracle counts bound levels.  Each
-class is the only home of its well's admissibility, levels and exact energies.
+Both wells are shape invariant and answer to one interface: tanh_poly() is V
+as a polynomial P in t = tanh z, levels(), energy(n) and eigenfunction(n) the
+closed forms of its bound states, threshold_level the zero-energy edge state
+of an integer-depth sech well, and fd_ceiling the energy below which the
+finite-difference oracle counts bound levels.  V(z) = P(tanh z) is evaluated
+only by potential_values; the tails are P(-1) and P(1), continuum_edge the
+lower.  Each class is the only home of its well's admissibility, levels and
+exact energies.
 The log-deformed zero-energy family has no level-independent potential, so it
 is no family here; spectra.gamma_deformed_residual verifies it level by level.
 """
@@ -27,8 +29,18 @@ from . import spectra
 from .tanh_algebra import HypWave, TanhPoly, as_fraction, ladder_chain
 
 
+class _TanhWell:
+    """What a well derives from its tanh_poly()."""
+
+    @property
+    def continuum_edge(self) -> float:
+        """min(P(-1), P(1)), the lower tail, rounded once from the exact Fractions."""
+        v = self.tanh_poly()
+        return float(min(v(-1), v(1)))
+
+
 @dataclass(frozen=True)
-class PoschlTeller:
+class PoschlTeller(_TanhWell):
     """Attractive sech^2 well with depth parameter l: V = -l(l+1) sech^2 z."""
 
     l: Fraction
@@ -41,18 +53,6 @@ class PoschlTeller:
     def tanh_poly(self) -> TanhPoly:
         c = self.l * (self.l + 1)
         return TanhPoly((-c, 0, c))  # -l(l+1)(1 - t^2)
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        c = float(self.l * (self.l + 1))
-        return -c / np.cosh(np.asarray(z, dtype=float)) ** 2
-
-    @property
-    def asymptotes(self) -> tuple[float, float]:
-        return (0.0, 0.0)
-
-    @property
-    def continuum_edge(self) -> float:
-        return 0.0
 
     @property
     def fd_ceiling(self) -> float:
@@ -78,7 +78,7 @@ class PoschlTeller:
 
 
 @dataclass(frozen=True)
-class RosenMorseII:
+class RosenMorseII(_TanhWell):
     """Shape-invariant well V = n'(n'+1) tanh^2 z - 2B tanh z, |B| < n'^2."""
 
     n_prime: Fraction
@@ -98,19 +98,6 @@ class RosenMorseII:
     def tanh_poly(self) -> TanhPoly:
         c = self.n_prime * (self.n_prime + 1)
         return TanhPoly((0, -2 * self.B, c))
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        t = np.tanh(np.asarray(z, dtype=float))
-        return float(self.n_prime * (self.n_prime + 1)) * t * t - 2.0 * float(self.B) * t
-
-    @property
-    def asymptotes(self) -> tuple[float, float]:
-        c = float(self.n_prime * (self.n_prime + 1))
-        return (c + 2.0 * float(self.B), c - 2.0 * float(self.B))
-
-    @property
-    def continuum_edge(self) -> float:
-        return float(self.n_prime * (self.n_prime + 1) - 2 * abs(self.B))
 
     @property
     def fd_ceiling(self) -> float:
@@ -147,6 +134,6 @@ class RosenMorseII:
 PotentialFamily = PoschlTeller | RosenMorseII
 
 
-def potential_values(fam: PotentialFamily, z: np.ndarray) -> np.ndarray:
-    """Evaluate a family on given points."""
-    return fam.values(z)
+def potential_values(v: TanhPoly, z: np.ndarray) -> np.ndarray:
+    """V(z) = P(tanh z) on given points, for the polynomial P of a well's tanh_poly()."""
+    return v.values(np.tanh(z))

@@ -234,10 +234,16 @@ class TanhPoly:
         return self._num * acc * v, self._den * v_power
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized float Horner evaluation, each coefficient correctly rounded."""
-        acc = np.zeros_like(x, dtype=float)
-        for v in reversed(self._prim):
-            acc = acc * x + self._num * v / self._den
+        """Vectorized float Horner evaluation, each coefficient correctly rounded, in
+        place from the top: the doubles of acc = acc * x + c from acc = 0, NaN included."""
+        if not self._prim:
+            return np.zeros_like(x, dtype=float)
+        top, *rest = [self._num * v / self._den for v in reversed(self._prim)]
+        acc = np.multiply(x, 0.0, dtype=float)  # 0 x + c, NaN for a NaN x
+        acc += top
+        for c in rest:
+            acc *= x
+            acc += c
         return acc
 
     def deflate(self, sign: int):

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from susyqm import Grid, HypWave, TanhPoly
+from susyqm import Grid, HypWave, TanhPoly, fd_oracle
 
 rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
 nonzero_rationals = rationals.filter(lambda f: f != 0)
@@ -45,13 +45,7 @@ class OddWell:
     """V = tanh z sech^2 z: equal asymptotes 0, but V(-z) = -V(z), so not even.
 
     A test-only well with the family interface that scattering reads.
-    `calls` counts the values() calls.
     """
-
-    asymptotes = (0.0, 0.0)
-
-    def __init__(self):
-        self.calls = 0
 
     def __repr__(self):
         return "OddWell()"
@@ -59,12 +53,22 @@ class OddWell:
     def tanh_poly(self) -> TanhPoly:
         return TanhPoly((0, 1, 0, -1))  # t (1 - t^2)
 
-    def values(self, z):
-        self.calls += 1
-        z = np.asarray(z, dtype=float)
-        return np.tanh(z) / np.cosh(z) ** 2
-
 
 @pytest.fixture
 def odd_well():
     return OddWell()
+
+
+@pytest.fixture
+def potential_calls(monkeypatch):
+    """Every z array and V array that fd_oracle evaluates by potential_values."""
+    calls = []
+    real = fd_oracle.potential_values
+
+    def recording(v, z):
+        values = real(v, z)
+        calls.append((np.array(z), np.array(values)))
+        return values
+
+    monkeypatch.setattr(fd_oracle, "potential_values", recording)
+    return calls

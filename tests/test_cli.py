@@ -689,7 +689,13 @@ def _reject_non_json_constant(name):
 @example(argv=["scatter", "--family", "rosen-morse", "--nprime=2", "--k=1e200"], config=None)
 # an overflowing residual is a numerical failure, not a NaN in the report
 @example(argv=["deformed", "--alpha=1e300", "--beta=1e300"], config=None)
+# tan(pi/4) rounds below 1, so z_of_theta overflows to -inf: a report holding
+# an infinity is a numerical failure, not a non-JSON report
+@example(argv=["map", "--gamma=-6.393154322601329e+18", "--z=0.0"], config=None)
 @settings(max_examples=60, deadline=None)
+# Hypothesis imports libcst to print a failure's patch; libcst's DeprecationWarning
+# must not turn that report into an INTERNALERROR that ends the session
+@pytest.mark.filterwarnings("ignore::DeprecationWarning:libcst")
 @pytest.mark.filterwarnings("error")
 def test_exit_code_contract_fuzz(argv, config, tmp_path_factory):
     if config is not None:
@@ -726,6 +732,9 @@ fuzz_verify_argv = st.builds(
 # a grid too coarse for every level is a failed check, not an Infinity
 @example(argv=["verify", "spectra", "--grid-points=5"])
 @settings(max_examples=80, deadline=None)
+# Hypothesis imports libcst to print a failure's patch; libcst's DeprecationWarning
+# must not turn that report into an INTERNALERROR that ends the session
+@pytest.mark.filterwarnings("ignore::DeprecationWarning:libcst")
 @pytest.mark.filterwarnings("error")
 def test_verify_exit_code_contract_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -996,13 +1005,14 @@ def test_scatter_report_stays_pinned(argv, r2, t2, flux_defect, drift, capsys):
     assert all(abs(x - pin) <= 1e-13 for x, pin in zip(got, (r2, t2, flux_defect, drift)))
 
 
-def test_scatter_of_a_well_that_is_not_even_exits_3(odd_well, monkeypatch, capsys):
+def test_scatter_of_a_well_that_is_not_even_exits_3(odd_well, potential_calls, monkeypatch,
+                                                    capsys):
     monkeypatch.setattr(cli, "_family", lambda params: odd_well)
     code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "1", "--k", "1"],
                          capsys)
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "even" in err and "Traceback" not in err
-    assert odd_well.calls == 0
+    assert potential_calls == []
 
 
 def test_eigenfunction_report(capsys):

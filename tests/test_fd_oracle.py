@@ -82,6 +82,33 @@ def test_discretize_tilted_asymptote():
     assert op.diagonal[-1] == pytest.approx(2.0 / GRID.h ** 2 + 5.0, abs=1e-8)
 
 
+@st.composite
+def _closed_form_wells(draw):
+    """(well, its V as a closed form in z written here, 1 + its |coefficients|)."""
+    if draw(st.booleans()):
+        l = draw(st.fractions(min_value=0, max_value=30, max_denominator=4))
+        c = float(l * (l + 1))
+        return PoschlTeller(l), lambda z: -c / np.cosh(z) ** 2, 1.0 + c
+    n = draw(st.fractions(min_value=Fraction(1, 4), max_value=12, max_denominator=4))
+    # |B| < n'^2, both signs
+    b = n * n * draw(st.fractions(min_value=-1, max_value=1, max_denominator=8)
+                     .filter(lambda f: abs(f) < 1))
+    c, b2 = float(n * (n + 1)), 2.0 * float(b)
+    return RosenMorseII(n, b), lambda z: c * np.tanh(z) ** 2 - b2 * np.tanh(z), 1.0 + c + abs(b2)
+
+
+@given(well=_closed_form_wells(),
+       z=st.lists(st.floats(min_value=-25.0, max_value=25.0), max_size=20))
+def test_derived_potential_matches_the_closed_forms(well, z):
+    # V is tanh_poly() alone; this ties it to -l(l+1) sech^2 z and to
+    # n'(n'+1) tanh^2 z - 2B tanh z, the sign of B included, on a fixed grid
+    # and on drawn points
+    fam, closed_form, scale = well
+    zs = np.concatenate((np.linspace(-25.0, 25.0, 101), z))
+    derived = potential_values(fam.tanh_poly(), zs)
+    assert np.max(np.abs(derived - closed_form(zs))) <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------------------
 # Sturm multisection
 
@@ -419,16 +446,15 @@ def test_scatter_rejects_asymmetric_tails():
         scattering_amplitudes(RosenMorseII(2, HALF), 1.0)
 
 
-def test_scatter_rejects_a_well_that_is_not_even(odd_well):
+def test_scatter_rejects_a_well_that_is_not_even(odd_well, potential_calls):
     # equal asymptotes, but V(-z) != V(z): the march's mirror half would be
     # wrong, so the well is refused before V is evaluated anywhere
     z = np.linspace(-3.0, 3.0, 61)
-    assert np.allclose(odd_well.values(z), odd_well.tanh_poly().values(np.tanh(z)),
+    assert np.allclose(np.tanh(z) / np.cosh(z) ** 2, potential_values(odd_well.tanh_poly(), z),
                        rtol=0.0, atol=1e-15)
-    odd_well.calls = 0
     with pytest.raises(NumericalError, match="restricted to even wells"):
         scattering_amplitudes(odd_well, 1.0)
-    assert odd_well.calls == 0
+    assert potential_calls == []
     # the B = 0 tilted well and the free well are even, and still accepted
     assert scattering_amplitudes(RosenMorseII(2, 0), 1.0).r2 <= 1e-6
     assert scattering_amplitudes(PoschlTeller(0), 1.0).r2 <= 1e-15
@@ -476,7 +502,7 @@ def test_backward_step_is_the_adjugate_of_the_forward_step():
 def _sequential_march(fam, k, energy, half_width, n_steps):
     """Reference: the classical RK4 march one step at a time on complex scalars."""
     zs = np.linspace(half_width, -half_width, 2 * n_steps + 1)
-    v_shift = (potential_values(fam, zs) - energy).tolist()
+    v_shift = (potential_values(fam.tanh_poly(), zs) - energy).tolist()
     s = -2.0 * half_width / n_steps
     psi = cmath.exp(1j * k * half_width)
     dpsi = 1j * k * psi
@@ -496,8 +522,8 @@ def _sequential_march(fam, k, energy, half_width, n_steps):
 
 def _march_amplitudes(fam, k, half_width, n_steps):
     """(A, B) of the coarse march (n_steps) and of the fine one (2 n_steps)."""
-    energy = k * k + fam.asymptotes[0]
-    total = fd_oracle._march(fam, energy, half_width, n_steps)
+    energy = k * k + float(fam.tanh_poly()(1))
+    total = fd_oracle._march(fam.tanh_poly(), energy, half_width, n_steps)
     return [fd_oracle._amplitudes(p, k, half_width)
             for p in np.moveaxis(total, -1, 0).tolist()]
 
@@ -521,7 +547,7 @@ MARCH_FAMILIES = [(PoschlTeller(Fraction(3, 2)), 1.0), (PoschlTeller(2), 0.5),
                                      2 * fd_oracle.MARCH_BLOCK + 3, 40001])
 @pytest.mark.parametrize("fam,k", MARCH_FAMILIES)
 def test_step_matrix_march_matches_sequential_rk4(fam, k, n_steps):
-    energy = k * k + fam.asymptotes[0]
+    energy = k * k + float(fam.tanh_poly()(1))
     coarse, fine = _march_amplitudes(fam, k, 20.0, n_steps)
     assert all(isinstance(x, complex) for x in (*coarse, *fine))
     _assert_same_probabilities(coarse, _sequential_march(fam, k, energy, 20.0, n_steps))
@@ -547,15 +573,16 @@ def test_coarse_march_on_every_other_fine_point(fam, k):
     # fine march's lattice; s_c = 2 s_f exactly, so that is s_c^2 (V - E) to
     # the bit, and those points differ from a directly spaced coarse lattice
     # by rounding only
-    energy = k * k + fam.asymptotes[0]
+    energy = k * k + float(fam.tanh_poly()(1))
     n_steps = 40000
     s_f = -2.0 * 20.0 / (2 * n_steps)
     s_c = -2.0 * 20.0 / n_steps
     assert s_c == 2.0 * s_f
-    v = potential_values(fam, np.linspace(20.0, -20.0, 4 * n_steps + 1))[::2] - energy
+    v = potential_values(fam.tanh_poly(), np.linspace(20.0, -20.0, 4 * n_steps + 1))[::2] - energy
     assert np.array_equal(4.0 * (s_f * s_f * v), s_c * s_c * v)
     coarse, _fine = _march_amplitudes(fam, k, 20.0, n_steps)
-    u = s_c * s_c * (potential_values(fam, np.linspace(20.0, -20.0, 2 * n_steps + 1)) - energy)
+    lattice = np.linspace(20.0, -20.0, 2 * n_steps + 1)
+    u = s_c * s_c * (potential_values(fam.tanh_poly(), lattice) - energy)
     direct = fd_oracle._ordered_product_delta(fd_oracle._rk4_step_deltas(
         u[0:-1:2], u[1::2], u[2::2], s_c, np.empty((2, 2, n_steps))))
     _assert_same_probabilities(coarse, fd_oracle._amplitudes(direct.tolist(), k, 20.0))
@@ -577,27 +604,12 @@ def test_ordered_product_delta_matches_matrix_product():
         assert np.array_equal(fd_oracle._ordered_product_delta(d[:, :, 1]), got[:, :, 1])
 
 
-def _recording_values(monkeypatch, cls):
-    """Record every z array and V array that cls.values sees."""
-    calls = []
-    real = cls.values
-
-    def recording(self, z):
-        v = real(self, z)
-        calls.append((np.array(z), np.array(v)))
-        return v
-
-    monkeypatch.setattr(cls, "values", recording)
-    return calls
-
-
-def test_scattering_reports_its_diagnostics(monkeypatch):
+def test_scattering_reports_its_diagnostics(potential_calls):
     fam = PoschlTeller(Fraction(3, 2))
-    calls = _recording_values(monkeypatch, PoschlTeller)
     res = scattering_amplitudes(fam, 1.0, 20.0, 1e-2)
     # the half of one fine half-step lattice from L to 0 for both marches and
     # the tail check at L, and the other end, -L, for the tail check
-    assert sum(len(z) for z, _v in calls) == 2 * 4000 + 1 + 1
+    assert sum(len(z) for z, _v in potential_calls) == 2 * 4000 + 1 + 1
     assert res.rk4_steps == (4000, 8000)
     assert res.step == 5e-3
     assert 0.0 < res.step_halving_drift <= fd_oracle.STEP_HALVING_TOL
@@ -610,51 +622,46 @@ def test_scattering_reports_its_diagnostics(monkeypatch):
 # 40000 and 4000 are the coarse step counts of steps 1e-3 and 1e-2; on 77
 # steps, odd, j dz + L misses 0 at the last point of the half lattice
 @pytest.mark.parametrize("n_steps", [40000, 4000, 77])
-def test_march_evaluates_each_lattice_point_once(n_steps, monkeypatch):
+def test_march_evaluates_each_lattice_point_once(n_steps, potential_calls):
     # after the lone end point -L, the blocks' lattices together are the half
     # np.linspace(L, -L, 4 n + 1)[:2 n + 1] with its last point exactly 0.0,
     # each point once, bit for bit, and no call is larger than one block's lattice
-    fam = PoschlTeller(Fraction(3, 2))
-    calls = _recording_values(monkeypatch, PoschlTeller)
-    fd_oracle._march(fam, 1.0, 20.0, n_steps)
-    (far, _v_far), *calls = calls
+    v = PoschlTeller(Fraction(3, 2)).tanh_poly()
+    fd_oracle._march(v, 1.0, 20.0, n_steps)
+    (far, _v_far), *calls = potential_calls
     assert np.array_equal(far, [-20.0])
     lattice = np.linspace(20.0, -20.0, 4 * n_steps + 1)[:2 * n_steps + 1]
     lattice[-1] = 0.0
     assert max(len(z) for z, _v in calls) <= 2 * fd_oracle.MARCH_BLOCK + 1
     assert np.array_equal(np.concatenate([z for z, _v in calls]), lattice)
-    monkeypatch.undo()
-    assert np.array_equal(np.concatenate([v for _z, v in calls]), fam.values(lattice))
+    assert np.array_equal(np.concatenate([vz for _z, vz in calls]),
+                          potential_values(v, lattice))
 
 
 class _UndecayedAtOneEnd:
-    """A well with equal asymptotes 0 that has not decayed at one end."""
-
-    asymptotes = (0.0, 0.0)
-
-    def __init__(self, bad_end):
-        self.bad_end = bad_end
-        self.calls = 0
+    """A well that is even and has tails 0: its tanh_poly() is zero."""
 
     def tanh_poly(self):
-        # V = 0 inside |z| <= 19, an even form: the evenness guard lets the
-        # well through, and only the decay check can stop it
         return TanhPoly.zero()
-
-    def values(self, z):
-        self.calls += 1
-        return np.where(np.sign(z) == self.bad_end, 1e-3, 0.0) * (np.abs(z) > 19.0)
 
 
 @pytest.mark.parametrize("bad_end", [1, -1])
-def test_decay_checked_at_both_ends(bad_end):
-    # -L is evaluated on its own, +L on the first block's lattice, and both
-    # are checked before any block is marched: two values() calls
-    fam = _UndecayedAtOneEnd(bad_end)
+def test_decay_checked_at_both_ends(bad_end, monkeypatch):
+    # V = 0 inside |z| <= 19 but 1e-3 past 19 at one end: the evenness guard
+    # lets the well through, and only the decay check can stop it.  -L is
+    # evaluated on its own, +L on the first block's lattice, and both are
+    # checked before any block is marched: two potential_values calls
+    calls = []
+
+    def undecayed(v, z):
+        calls.append(z)
+        return np.where(np.sign(z) == bad_end, 1e-3, 0.0) * (np.abs(z) > 19.0)
+
+    monkeypatch.setattr(fd_oracle, "potential_values", undecayed)
     with pytest.raises(NumericalError, match=r"has not decayed at \|z\| = 20.0: "
                                              r"\|V - V_inf\| = 1\.000e-03"):
-        scattering_amplitudes(fam, 1.0, 20.0, 1e-3)
-    assert fam.calls == 2
+        scattering_amplitudes(_UndecayedAtOneEnd(), 1.0, 20.0, 1e-3)
+    assert len(calls) == 2
 
 
 # R^2, T^2, flux defect and step-halving drift of the twelve `verify scatter`

@@ -153,6 +153,9 @@ def fuzz_scan_argv(draw):
 @example(argv=["--k=1e-300", "--l-min=3/2", "--l-max=3/2", "--step=1"])
 @example(argv=["--k=1.0", "--l-min=1e400", "--l-max=1e400", "--step=1"])
 @settings(max_examples=60, deadline=None)
+# Hypothesis imports libcst to print a failure's patch; libcst's DeprecationWarning
+# must not turn that report into an INTERNALERROR that ends the session
+@pytest.mark.filterwarnings("ignore::DeprecationWarning:libcst")
 @pytest.mark.filterwarnings("error")
 def test_reflection_scan_exit_code_contract_fuzz(argv, tmp_path_factory):
     out = tmp_path_factory.mktemp("scan") / "scan.csv"

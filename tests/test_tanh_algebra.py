@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from conftest import hyp_waves, nonzero_rationals, rationals, small_exponents, tanh_polys
@@ -143,6 +143,24 @@ def test_poly_primitive_matches_reference(p):
 @given(a=small_exponents, b=small_exponents, p=tanh_polys(max_degree=6))
 def test_d_poly_matches_reference(a, b, p):
     assert list(_d_poly(a, b, p).coeffs) == ref_d_poly(a, b, list(p.coeffs))
+
+
+def ref_values(p, x):
+    """The textbook allocating float Horner loop, acc = acc * x + c from acc = 0."""
+    acc = np.zeros_like(x, dtype=float)
+    for c in reversed(p):
+        acc = acc * x + float(c)
+    return acc
+
+
+@given(p=tanh_polys(max_degree=8), x=st.lists(st.floats(-1.0, 1.0), max_size=40))
+@example(p=TanhPoly.zero(), x=[0.5])
+@example(p=TanhPoly.constant(Fraction(-7, 3)), x=[0.5])
+def test_poly_values_match_the_allocating_horner_loop(p, x):
+    # bit for bit, signed zeros and NaN included
+    xs = np.array([*x, 0.0, -0.0, math.nan])
+    got, want = p.values(xs), ref_values(list(p.coeffs), xs)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
