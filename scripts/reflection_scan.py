@@ -10,7 +10,9 @@ Usage:
 
 Exit status follows the susyqm CLI: 0 on success, 2 for a bad argument or a
 scan of more than ROW_CAP rows (both checked before the output file is
-opened), 3 for a numerical failure.
+opened) or an output file that cannot be written, 3 for a numerical failure.
+A failure of the scan gets its exit code and its one stderr line from
+susyqm.cli.failure_status, as a failure of a susyqm command does.
 """
 
 import argparse
@@ -21,9 +23,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from susyqm import (
-    NumericalError, PoschlTeller, scattering_amplitudes, sech_well_reflection_exact,
-)
+from susyqm import PoschlTeller, scattering_amplitudes, sech_well_reflection_exact
+from susyqm.cli import failure_status
 
 ROW_CAP = 10_000  # one scattering run per row, about 3 ms each on a 2-vCPU host
 
@@ -67,11 +68,10 @@ def main(argv: list[str] | None = None) -> int:
                                  repr(sech_well_reflection_exact(float(depth), args.k)),
                                  repr(res.flux_defect)])
                 depth += step
-    except OSError as exc:
-        ap.error(str(exc))
-    except (NumericalError, OverflowError) as exc:  # as susyqm.cli.main
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        code, line = failure_status(exc, "reflection_scan.py")
+        print(line, file=sys.stderr)
+        return code
     print(f"wrote {args.out}")
     return 0
 

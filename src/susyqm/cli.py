@@ -8,8 +8,9 @@ the same name (_ written as -), such as --scatter-half-width and
 `verify scatter`.  A parameter that gets no value from a flag, the config file
 or a default exits 2 with one line, such as
 `error: eigenfunction --family poschl-teller requires --l`.  Exit codes: 0 all
-requested checks passed, 1 a check failed, 2 usage/parameter error,
-3 numerical failure.
+requested checks passed, 1 a check failed, 2 usage/parameter error (the
+input was rejected before anything ran, or a file cannot be used), 3
+numerical failure (any other failure after that); failure_status decides.
 
 Grid, tolerance and scattering defaults may be placed in a key = value config
 file named by --config or the SUSYQM_CONFIG environment variable; command-line
@@ -186,12 +187,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def parse_command(argv: list[str]) -> Command:
-    """Parse argv and resolve every parameter the subcommand reads.
+    """Parse argv, resolve every parameter the subcommand reads and admit it.
 
     Flags win over config-file values, which win over built-in defaults.  This
     is the only place a parameter gets its value: runners and check sections
     read params[key] and never write to params, so the report's echo is the
-    resolved set.
+    resolved set.  Every value the argv names is built and checked here, by
+    the package's own constructors and validators, and any ValueError they
+    raise becomes a UsageError: a command that parses runs on admitted input.
     """
     args = _parser().parse_args(argv)
     config = load_config(args.config)
@@ -224,26 +227,27 @@ def parse_command(argv: list[str]) -> Command:
         raise UsageError(f"{reader} requires --{missing[0].replace('_', '-')}")
     if unread := [key for key in params if key not in reads]:
         raise UsageError(f"{reader} does not read --{unread[0].replace('_', '-')}")
-    if sub == "deformed":
-        given = [key for key in GRID_KEYS if key in params]
-        if given and len(given) != len(GRID_KEYS):
-            raise UsageError("give --grid-min, --grid-max and --grid-points together")
-        if not given:
-            grid = _deformed_default_grid(params["alpha"], params["beta"])
-            params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
-    params = {key: defaults[key] for key in reads if key in defaults} | params
-    for what, size in _request_sizes(sub, params):
+    try:
+        if sub == "deformed":
+            given = [key for key in GRID_KEYS if key in params]
+            if given and len(given) != len(GRID_KEYS):
+                raise UsageError("give --grid-min, --grid-max and --grid-points together")
+            # before the default grid, which cannot be sized from a NaN alpha or beta
+            spectra.check_deformed(params["alpha"], params["beta"], params["n"])
+            if not given:
+                grid = _deformed_default_grid(params["alpha"], params["beta"])
+                params.update(grid_min=grid.z_min, grid_max=grid.z_max, grid_points=grid.points)
+        params = {key: defaults[key] for key in reads if key in defaults} | params
+        well = _admit(sub, params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    for what, size in _request_sizes(sub, params, well):
         if size > SIZE_CAP:
             try:
                 size_text = f"{float(size):.4g}"
             except OverflowError:  # an int past the double range
                 size_text = f"{Decimal(size):.4g}"
             raise UsageError(f"{size_text} {what} requested, above the size cap of {SIZE_CAP}")
-    if "grid_points" in reads:
-        try:
-            _grid(params)  # a grid that cannot be built stops the command before it runs
-        except ValueError as exc:
-            raise UsageError(f"bad grid: {exc}") from None
     return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
 
 
@@ -257,24 +261,49 @@ def _reads(sub: str, params: dict) -> dict:
     return dict.fromkeys(key for name in names for key in READS.get(name, ()))
 
 
-def _request_sizes(sub: str, params: dict):
+# the name scattering_amplitudes gives each scattering parameter in its messages
+SCATTER_NAMES = {"k": "wavenumber", "scatter_half_width": "half width", "scatter_step": "step"}
+
+
+def _admit(sub: str, params: dict) -> PoschlTeller | RosenMorseII | None:
+    """Build and check everything the resolved parameters name, without
+    allocating any grid or lattice: the well and its level n, a finite --gamma
+    and --z, the map's chart, the grid and the scattering parameters.  A value
+    that cannot run raises ValueError.  Returns the well of --family, or None."""
+    well = _family(params) if "family" in params else None
+    for key in ("gamma", "z"):
+        if not math.isfinite(params.get(key, 0.0)):
+            raise ValueError(f"--{key} must be finite, got {params[key]!r}")
+    if sub == "eigenfunction" and not well.has_state(params["n"]):
+        raise ValueError(f"level n = {params['n']} is not a state of the "
+                         f"{params['family']} well")
+    if sub == "map":
+        cmaps.w_of_z(params["gamma"], params["z"])  # inside the chart gamma z + 1 > 0
+    if "grid_points" in params:
+        grid = _grid(params)
+        if sub == "deformed":
+            spectra.check_deformed(params["alpha"], params["beta"], params["n"], grid)
+    if "scatter_step" in params:
+        fd_oracle.require_positive_finite(
+            {name: params[key] for key, name in SCATTER_NAMES.items() if key in params})
+    return well
+
+
+def _request_sizes(sub: str, params: dict, well: PoschlTeller | RosenMorseII | None = None):
     """(what, size) of everything a command would build or march over per
     level, grid point or RK4 lattice point, computed without allocating any of
-    it.  Grid points and the RK4 lattice count only where the command reads
-    them."""
-    reads = _reads(sub, params)
+    it, for admitted parameters.  Grid points and the RK4 lattice count only
+    where the command reads them.  well is _family(params), if already built."""
     if sub in ("spectrum", "oracle"):
         # levels() is range(count); .stop is count even past len()'s limit
-        yield "levels", _family(params).levels().stop
-    if "grid_points" in reads:
+        yield "levels", (well or _family(params)).levels().stop
+    if "grid_points" in params:
         yield "grid points", params["grid_points"]
-    if "scatter_step" in reads:
+    if "scatter_step" in params:
         half_width = params["scatter_half_width"]
         step = params["scatter_step"]
-        # other values are rejected by scattering_amplitudes, with its own message
-        if 0.0 < half_width < math.inf and 0.0 < step < math.inf:
-            # the step-halving check marches twice the steps of 2 * half_width / step
-            yield "RK4 lattice points", 8.0 * half_width / step + 1.0
+        # the step-halving check marches twice the steps of 2 * half_width / step
+        yield "RK4 lattice points", 8.0 * half_width / step + 1.0
 
 
 # ----------------------------------------------------------------------------
@@ -771,16 +800,33 @@ def _jsonable(value):
 
 
 def render_json(report: dict) -> str:
-    """The report as JSON; a NaN or infinite number in it raises NumericalError."""
+    """The report as JSON; a NaN or infinite number in it raises NumericalError
+    that names the key path of the first one."""
     # json.dump writes each chunk as it goes; json.dumps with an indent first
     # lists every chunk of the report
     buf = io.StringIO()
     try:
         json.dump(report, buf, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
     except ValueError as exc:
-        raise fd_oracle.NumericalError(f"the report is not JSON: {exc}") from exc
+        # json names the number but not where it is; only a failed dump walks the report
+        where = next(_non_finite_paths(report), None)
+        raise fd_oracle.NumericalError(
+            f"the report is not JSON: {exc}" + (f" (at {where})" if where else "")) from exc
     buf.write("\n")
     return buf.getvalue()
+
+
+def _non_finite_paths(value, path: str = ""):
+    """Key paths, such as checks[2].computed, of the NaN and infinite numbers in
+    a report, in report order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_paths(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite_paths(item, f"{path}[{i}]")
+    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        yield path
 
 
 def _spectrum_table(report: dict):
@@ -817,6 +863,21 @@ def render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def failure_status(exc: BaseException, command: str) -> tuple[int, str | None]:
+    """The exit code and stderr line of a failure of `command`, by where it was
+    raised: argparse's SystemExit (it printed its own message, so no line), a
+    UsageError from parse_command or an unusable file exit 2; a NumericalError,
+    ArithmeticError or ValueError, which admitted input leaves to the numerics,
+    exits 3.  Any other exception is a defect, and is raised again."""
+    if isinstance(exc, SystemExit):
+        return (EXIT_PASS if exc.code in (0, None) else EXIT_USAGE), None
+    if isinstance(exc, (UsageError, OSError)):
+        return EXIT_USAGE, f"error: {exc}"
+    if isinstance(exc, (fd_oracle.NumericalError, ArithmeticError, ValueError)):
+        return EXIT_NUMERICAL, f"numerical failure in {command!r}: {exc}"
+    raise exc
+
+
 # an overflow leaves NaN or inf, which the guards turn into the one stderr
 # line; numpy's own RuntimeWarnings would add lines before it
 @np.errstate(all="ignore")
@@ -833,19 +894,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except SystemExit as exc:  # argparse already printed its message
-        return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
-    except (UsageError, OSError) as exc:  # bad flag or config, unreadable or unwritable file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # argparse accepted argv before anything below can be raised, and the
-    # top-level parser takes no option but -h, so argv[0] is the subcommand
-    except (fd_oracle.NumericalError, ArithmeticError) as exc:
-        print(f"numerical failure in {argv[0]!r}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error in {argv[0]!r}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (SystemExit, Exception) as exc:
+        # only argparse's SystemExit comes before argparse accepted argv; after
+        # that argv[0] is the subcommand, as the top-level parser takes no
+        # option but -h
+        code, line = failure_status(exc, argv[0] if argv else "susyqm")
+        if line is not None:
+            print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

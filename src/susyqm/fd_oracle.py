@@ -483,15 +483,26 @@ def _march(v: TanhPoly, energy: float, half_width: float, n_steps: int) -> np.nd
 def _amplitudes(p: list[list[float]], k: float, half_width: float) -> tuple[complex, complex]:
     """(A, B), the incident and reflected amplitudes for unit transmission,
     from the product delta p of a march seeded at z = L with the transmitted
-    plane wave e^{ikz}."""
+    plane wave e^{ikz}.  A phase k L past the double range raises NumericalError."""
     (p00, p01), (p10, p11) = p
-    phase = cmath.exp(1j * k * half_width)
+    kl = k * half_width
+    if not math.isfinite(kl):
+        raise NumericalError(f"the phase k L = {k!r} * {half_width!r} is past the double range")
+    phase = cmath.exp(1j * kl)
     dphase = 1j * k * phase  # the transmitted wave and its slope at z = L
     psi = (1.0 + p00) * phase + p01 * dphase
     dpsi = p10 * phase + (1.0 + p11) * dphase
     a = 0.5 * (psi + dpsi / (1j * k)) * phase
     b = 0.5 * (psi - dpsi / (1j * k)) / phase
     return a, b
+
+
+def require_positive_finite(values: dict[str, float]) -> None:
+    """Raise ValueError naming the first of the named values that is not
+    positive and finite: scattering's rule for its k, half width and step."""
+    for name, value in values.items():
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def scattering_amplitudes(fam: PotentialFamily, k: float,
@@ -512,9 +523,7 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
     not positive and finite raises ValueError.
     """
     k, half_width, step = float(k), float(half_width), float(step)
-    for name, value in (("wavenumber", k), ("half width", half_width), ("step", step)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    require_positive_finite({"wavenumber": k, "half width": half_width, "step": step})
     v = fam.tanh_poly()
     v_inf = float(v(1))
     if v.reflected() != v:
@@ -563,6 +572,10 @@ def sech_well_reflection_exact(l: float, k: float) -> float:
 
     Classical scattering result for V = -l(l+1) sech^2 z; used as an
     independent cross-check of the integrator (zero exactly at integer l).
+    At l = 0, where sin^2(pi l) is exactly 0, it returns 0.0 without the
+    division, which would be 0/0 once sinh^2(pi k) underflows.
     """
     s = math.sin(math.pi * l) ** 2
+    if s == 0.0:
+        return 0.0
     return s / (math.sinh(math.pi * k) ** 2 + s)

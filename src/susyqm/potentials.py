@@ -7,12 +7,13 @@ Sign conventions, fixed once for the whole package (c = hbar/sqrt(2m) = 1):
 
 Both wells are shape invariant and answer to one interface: tanh_poly() is V
 as a polynomial P in t = tanh z, levels(), energy(n) and eigenfunction(n) the
-closed forms of its bound states, threshold_level the zero-energy edge state
-of an integer-depth sech well, and fd_ceiling the energy below which the
-finite-difference oracle counts bound levels.  V(z) = P(tanh z) is evaluated
-only by potential_values; the tails are P(-1) and P(1), continuum_edge the
-lower.  Each class is the only home of its well's admissibility, levels and
-exact energies.
+closed forms of its bound states, has_state(n) whether eigenfunction(n)
+exists, threshold_level the zero-energy edge state of an integer-depth sech
+well, and fd_ceiling the energy below which the finite-difference oracle
+counts bound levels.  V(z) = P(tanh z) is evaluated only by
+potential_values; the tails are P(-1) and P(1), continuum_edge the lower.
+Each class is the only home of its well's admissibility, levels and exact
+energies.
 The log-deformed zero-energy family has no level-independent potential, so it
 is no family here; spectra.gamma_deformed_residual verifies it level by level.
 """
@@ -61,6 +62,10 @@ class PoschlTeller(_TanhWell):
     def levels(self) -> range:
         """Bound level indices n = 0 .. ceil(l) - 1."""
         return range(math.ceil(self.l))
+
+    def has_state(self, n: int) -> bool:
+        """Whether eigenfunction(n) exists: a bound level or the threshold state."""
+        return 0 <= n <= self.l
 
     @property
     def threshold_level(self) -> int | None:
@@ -112,11 +117,15 @@ class RosenMorseII(_TanhWell):
         lo, hi = 0, math.ceil(self.n_prime)  # level lo is admitted (|B| < n'^2); hi is not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if (self.n_prime - mid) ** 2 > abs(self.B):
+            if self.has_state(mid):
                 lo = mid
             else:
                 hi = mid
         return range(hi)
+
+    def has_state(self, n: int) -> bool:
+        """Whether n is in levels(), without the bisection: 0 <= n < n' and (n'-n)^2 > |B|."""
+        return 0 <= n < self.n_prime and (self.n_prime - n) ** 2 > abs(self.B)
 
     @property
     def threshold_level(self) -> None:

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # fd_oracle and potentials import this module
 
 __all__ = [
     "GegenbauerReduction", "rosen_morse_eigenfunction", "gegenbauer_spectrum",
-    "gamma_deformed_residual",
+    "check_deformed", "gamma_deformed_residual",
 ]
 
 
@@ -46,11 +46,11 @@ def rosen_morse_eigenfunction(fam: RosenMorseII, n: int) -> HypWave:
     With s = n' - n, r = B/s and t = tanh z the wave is
     (1-t)^((s-r)/2) (1+t)^((s+r)/2) P_n^(s-r, s+r)(t), whose symbolic residual
     against V vanishes identically at E_n (the decay rates s -+ r match the two
-    asymptotes); admission requires both exponents positive, i.e. n in
-    fam.levels().
+    asymptotes); admission requires both exponents positive, i.e.
+    fam.has_state(n).
     """
     n = int(n)
-    if n not in fam.levels():
+    if not fam.has_state(n):
         raise ValueError(
             f"level n = {n} is not a bound state of (n', B) = ({fam.n_prime}, {fam.B})"
         )
@@ -82,6 +82,23 @@ def gegenbauer_spectrum(p: int, q) -> GegenbauerReduction:
     )
 
 
+def check_deformed(alpha: float, beta: float, n: int, grid: Grid | None = None) -> None:
+    """Raise ValueError unless gamma_deformed_residual can take these inputs.
+
+    alpha and beta must be finite and > -1 and n >= 0; a grid, if given, needs
+    the 7 points of the five-point stencil and must lie inside the chart
+    gamma z + 1 > 0, which it does when its two ends do.
+    """
+    if n < 0:
+        raise ValueError("level index must be nonnegative")
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise ValueError(f"need finite alpha, beta > -1, got {alpha!r} and {beta!r}")
+    if grid is not None:
+        if grid.points < 7:
+            raise ValueError("need at least 7 grid points for the five-point stencil")
+        w_of_z(beta - alpha, np.array([grid.z_min, grid.z_max]))
+
+
 def gamma_deformed_residual(alpha: float, beta: float, n: int, grid: Grid) -> float:
     """Sup-norm of the zero-energy equation applied to the deformed candidate.
 
@@ -100,12 +117,7 @@ def gamma_deformed_residual(alpha: float, beta: float, n: int, grid: Grid) -> fl
     alpha = float(alpha)
     beta = float(beta)
     n = int(n)
-    if n < 0:
-        raise ValueError("level index must be nonnegative")
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("need alpha, beta > -1")
-    if grid.points < 7:
-        raise ValueError("need at least 7 grid points for the five-point stencil")
+    check_deformed(alpha, beta, n, grid)
     gamma = beta - alpha
     m = 0.5 * (alpha + beta)
     n_prime = n + m

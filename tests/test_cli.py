@@ -94,11 +94,46 @@ def test_parser_reused_after_usage_error(capsys):
 # exit codes
 
 
-def test_precondition_violation_exits_2(capsys):
-    code, _, err = run(["spectrum", "--family", "rosen-morse",
-                        "--nprime", "2", "--B", "5"], capsys)
-    assert code == 2
-    assert "below n'^2" in err
+# inputs that a constructor or validator of the package rejects; each is
+# admitted, or not, by parse_command, before anything runs
+PRECONDITION_VIOLATIONS = [
+    ("spectrum-tilted-B-5", ["spectrum", "--family", "rosen-morse", "--nprime", "2", "--B", "5"],
+     "below n'^2"),
+    ("deformed-5-grid-points", ["deformed", "--alpha", "1", "--beta", "2", "--grid-min", "-0.4",
+                                "--grid-max", "8", "--grid-points", "5"], "at least 7 grid points"),
+    ("deformed-grid-off-chart", ["deformed", "--alpha", "1", "--beta", "2", "--grid-min", "-5",
+                                 "--grid-max", "5", "--grid-points", "101"],
+     "z = -5.0 is outside the chart"),
+    ("deformed-alpha-nan", ["deformed", "--alpha", "nan", "--beta", "1"],
+     "need finite alpha, beta > -1, got nan"),
+    ("eigenfunction-z-nan", ["eigenfunction", "--family", "poschl-teller", "--l", "2",
+                             "--n", "0", "--z", "nan"], "--z must be finite, got nan"),
+    ("eigenfunction-z-inf", ["eigenfunction", "--family", "poschl-teller", "--l", "2",
+                             "--n", "0", "--z", "inf"], "--z must be finite, got inf"),
+    ("sech-level-past-l", ["eigenfunction", "--family", "poschl-teller", "--l", "5/2",
+                           "--n", "3"], "level n = 3 is not a state of the poschl-teller well"),
+    ("tilted-level-not-normalizable", ["eigenfunction", "--family", "rosen-morse", "--nprime",
+                                       "2", "--B", "1", "--n", "1"],
+     "level n = 1 is not a state of the rosen-morse well"),
+    ("scatter-k-negative", ["scatter", "--l", "1", "--k", "-1"],
+     "wavenumber must be positive and finite, got -1.0"),
+    ("gegenbauer-q-1/2", ["spectrum", "--family", "gegenbauer", "--p", "1", "--q", "1/2"],
+     "need q > 1/2"),
+    ("map-off-chart", ["map", "--gamma", "1", "--z", "-2"], "z = -2.0 is outside the chart"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [case[1:] for case in PRECONDITION_VIOLATIONS],
+                         ids=[case[0] for case in PRECONDITION_VIOLATIONS])
+def test_precondition_violation_exits_2(argv, message, monkeypatch, capsys):
+    with pytest.raises(cli.UsageError):
+        parse_command(argv)
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, argv[0], calls.append)
+    code, out, err = run(argv, capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err, err
 
 
 def test_missing_family_parameter_exits_2(capsys):
@@ -148,7 +183,9 @@ def test_scatter_overflowing_amplitude_exits_3(k, capsys):
     ["--l", "2", "--k", "1e300"],
     ["--l", "2", "--k", "1e154"],
     ["--family", "rosen-morse", "--nprime", "2", "--k", "1e200"],
-], ids=["sech-1e300", "sech-1e154", "tilted-1e200"])
+    # k L = 20 k is past the double range, so the phase e^{ikL} is not a number
+    ["--l", "1", "--k", "8.98846567431158e+306"],
+], ids=["sech-1e300", "sech-1e154", "tilted-1e200", "sech-kL-past-double-range"])
 def test_huge_wavenumber_exits_3_with_one_stderr_line(argv):
     # a subprocess sees numpy's RuntimeWarnings, which pytest would record apart
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -677,6 +714,17 @@ def _reject_non_json_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _assert_line_matches_code(code, err):
+    """Exit 2 is a rejected input, with argparse's usage text or one error line;
+    exit 3 a numerical failure, with one line that says so."""
+    if code == 2:
+        assert err.startswith(("usage:", "error: ")), err
+    if code == 3:
+        assert err.startswith("numerical failure"), err
+    if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 @given(argv=fuzz_argv, config=fuzz_config)
 @example(argv=["spectrum", *PT, "--l=-3"], config=None)
 @example(argv=["spectrum", *PT, "--l=1"], config="grid_points = abc\n")
@@ -708,8 +756,7 @@ def test_exit_code_contract_fuzz(argv, config, tmp_path_factory):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
-    if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
-        assert err.count("\n") == 1 and err.endswith("\n"), err
+    _assert_line_matches_code(code, err)
     if code in (0, 1) and parse_command(argv).fmt == "json":
         json.loads(out, parse_constant=_reject_non_json_constant)
 
@@ -743,8 +790,7 @@ def test_verify_exit_code_contract_fuzz(argv):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
-    if code in (2, 3) and not err.startswith("usage:"):  # argparse's own message
-        assert err.count("\n") == 1 and err.endswith("\n"), err
+    _assert_line_matches_code(code, err)
     if code in (0, 1) and parse_command(argv).fmt == "json":
         json.loads(out, parse_constant=_reject_non_json_constant)
 
@@ -934,13 +980,28 @@ def test_readme_examples_run(argv, tmp_path, monkeypatch, capsys):
         json.loads(out, parse_constant=_reject_non_json_constant)
 
 
-@pytest.mark.parametrize("z", ["40", "1000"])
-def test_map_where_theta_rounds_to_pi_exits_2(z, capsys):
-    # e^z overflows at z = 1000 and only rounds theta to pi at z = 40; both
-    # are a point the inverse map cannot take back
+@pytest.mark.parametrize("z", ["40", "1000", "-800"])
+def test_map_where_theta_rounds_to_pi_exits_3(z, capsys):
+    # e^z overflows at z = 1000 and only rounds theta to pi at z = 40, and
+    # theta underflows to 0 at z = -800: z is on the chart, but theta is a
+    # point the inverse map cannot take back, a numerical failure
     code, out, err = run(["map", "--gamma", "0", "--z", z], capsys)
-    assert code == 2 and out == ""
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure in 'map'")
     assert err.count("\n") == 1 and "is not inside (0, pi)" in err, err
+
+
+def test_non_finite_report_names_its_key_path(capsys):
+    # json.dump names the number but not where it is in the report
+    report = {"command": "verify", "sections": {"maps": [{"computed": 0.0},
+                                                         {"computed": math.nan}]}}
+    with pytest.raises(fd_oracle.NumericalError, match=r"\(at sections\.maps\[1\]\.computed\)$"):
+        render_json(report)
+    # tan(pi/4) rounds below 1, so the round trip overflows to -inf
+    code, out, err = run(["map", "--gamma=-6.393154322601329e+18", "--z=0.0"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure in 'map': the report is not JSON")
+    assert err.endswith(" (at roundtrip_z)\n") and err.count("\n") == 1, err
 
 
 def test_map_report_contents(capsys):

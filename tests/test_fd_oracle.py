@@ -428,6 +428,13 @@ def test_reflection_matches_analytic_formula(l, k):
     assert computed == pytest.approx(sech_well_reflection_exact(l, k), abs=1e-9)
 
 
+def test_reflection_formula_at_depth_0_with_an_underflowing_sinh():
+    # sin^2(pi l) is exactly 0 at l = 0, and sinh^2(pi k) underflows to 0
+    # here, so the formula as written would divide 0 by 0
+    assert math.sinh(math.pi * 4.349168191025984e-288) ** 2 == 0.0
+    assert sech_well_reflection_exact(0.0, 4.349168191025984e-288) == 0.0
+
+
 def test_transmission_resonance_structure():
     # |T|^2 = 1 - |R|^2 and both lie in [0, 1]
     res = scattering_amplitudes(PoschlTeller(Fraction(1, 2)), 0.6)

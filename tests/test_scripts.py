@@ -152,6 +152,10 @@ def fuzz_scan_argv(draw):
 @example(argv=["--k=1e300", "--l-min=1", "--l-max=1", "--step=1"])
 @example(argv=["--k=1e-300", "--l-min=3/2", "--l-max=3/2", "--step=1"])
 @example(argv=["--k=1.0", "--l-min=1e400", "--l-max=1e400", "--step=1"])
+# sinh^2(pi k) underflows to 0 at depth 0, where sin^2(pi l) is exactly 0
+@example(argv=["--k=4.349168191025984e-288", "--l-min=0", "--l-max=0", "--step=1"])
+# k L is past the double range, so the phase e^{ikL} is not a number
+@example(argv=["--k=8.98846567431158e+306", "--l-min=0", "--l-max=0", "--step=1"])
 @settings(max_examples=60, deadline=None)
 # Hypothesis imports libcst to print a failure's patch; libcst's DeprecationWarning
 # must not turn that report into an INTERNALERROR that ends the session
@@ -168,5 +172,10 @@ def test_reflection_scan_exit_code_contract_fuzz(argv, tmp_path_factory):
     err = err.getvalue()
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+    # exit 2 is a rejected argument and exit 3 a numerical failure, as in the CLI
+    if code == 2:
+        assert err.startswith(("usage:", "error: ")), err
+    if code == 3:
+        assert err.startswith("numerical failure"), err
     if code in (2, 3) and not err.startswith("usage:"):
         assert err.count("\n") == 1 and err.endswith("\n"), err
