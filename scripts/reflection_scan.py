@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             writer.writerow(["depth", "k", "R2_numeric", "R2_closed_form", "flux_defect"])
             depth = lo
             while depth <= hi:
-                res = scattering_amplitudes(PoschlTeller(depth), args.k)
+                res = scattering_amplitudes(PoschlTeller(depth).tanh_poly(), args.k)
                 writer.writerow([float(depth), args.k, repr(res.r2),
                                  repr(sech_well_reflection_exact(float(depth), args.k)),
                                  repr(res.flux_defect)])

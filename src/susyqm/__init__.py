@@ -14,7 +14,7 @@ from .orthopoly import (
     check_legendre_identity, gegenbauer_poly, jacobi_poly, legendre_poly,
     proportionality_constant,
 )
-from .potentials import PoschlTeller, PotentialFamily, RosenMorseII, potential_values
+from .potentials import PoschlTeller, RosenMorseII, potential_values
 from .spectra import (
     GegenbauerReduction, gamma_deformed_residual, gegenbauer_spectrum,
     rosen_morse_eigenfunction,

@@ -516,7 +516,7 @@ def _fd_vs_closed_form(fams: list[PoschlTeller | RosenMorseII], grid: fd_oracle.
     families solved as one batch."""
     levels = [fam.levels() for fam in fams]
     evs = fd_oracle.bound_state_eigenvalues_batch(
-        [(fd_oracle.discretize(fam, grid), fam.fd_ceiling, len(lv) + 3)
+        [(fd_oracle.discretize(fam.tanh_poly(), grid), fam.fd_ceiling, len(lv) + 3)
          for fam, lv in zip(fams, levels)])
     return [(lv, [float(fam.energy(n)) for n in lv], ev)
             for fam, lv, ev in zip(fams, levels, evs)]
@@ -601,15 +601,16 @@ def checks_scatter(params: dict) -> list[dict]:
     step = params["scatter_step"]
     out = []
     for l in (1, 2, 3):
+        v = PoschlTeller(l).tanh_poly()
         for k in (0.5, 1.0, 2.0):
-            res = fd_oracle.scattering_amplitudes(PoschlTeller(l), k, half_width, step)
+            res = fd_oracle.scattering_amplitudes(v, k, half_width, step)
             out.append(check(f"reflectionless-l-{l}-k-{k}", res.r2, 0.0, 1e-6,
                              "scattering-oracle"))
             out.append(check(f"flux-conservation-l-{l}-k-{k}", res.flux_defect, 0.0,
                              fd_oracle.FLUX_TOL, "scattering-oracle"))
     for n_prime in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
-        res = fd_oracle.scattering_amplitudes(PoschlTeller(n_prime), 1.0, half_width,
-                                              step)
+        res = fd_oracle.scattering_amplitudes(PoschlTeller(n_prime).tanh_poly(), 1.0,
+                                              half_width, step)
         out.append(check(
             f"reflection-analytic-nprime-{n_prime}", res.r2,
             fd_oracle.sech_well_reflection_exact(float(n_prime), 1.0), 1e-9,
@@ -694,9 +695,8 @@ def run_map(params: dict) -> dict:
 
 def run_scatter(params: dict) -> dict:
     """Reflection/transmission at wavenumber k."""
-    fam = _family(params)
-    res = fd_oracle.scattering_amplitudes(fam, params["k"], params["scatter_half_width"],
-                                          params["scatter_step"])
+    res = fd_oracle.scattering_amplitudes(_family(params).tanh_poly(), params["k"],
+                                          params["scatter_half_width"], params["scatter_step"])
     return {
         "R2": res.r2,
         "T2": res.t2,

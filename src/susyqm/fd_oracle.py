@@ -2,8 +2,9 @@
 
 Nothing here reuses the closed-form levels, energies or waves, so agreement
 between this module and the algebraic results is a genuine cross-check: a
-well enters only as V(z) = P(tanh z) for its exact tanh_poly() P, evaluated
-by potentials.potential_values.  Defaults: z in [-12, 12] with 2001 points
+potential enters only as its exact polynomial P in t = tanh z (a TanhPoly,
+such as a partner W^2 -+ W'), and V(z) = P(tanh z) is evaluated by
+potentials.potential_values.  Defaults: z in [-12, 12] with 2001 points
 (every sech-localized state of interest decays below 1e-10 by |z| = 12),
 Dirichlet boxes for bound states, eigenvalues bracketed to 1e-10 by Sturm
 multisection (63 interior shifts per bracket and sweep, a 200-sweep cap that
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialFamily, TanhPoly, potential_values
+from .potentials import TanhPoly, potential_values
 
 BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200  # multisection sweeps
@@ -109,8 +110,8 @@ class TridiagonalOperator:
         return self.diagonal.shape[0]
 
 
-def discretize(fam: PotentialFamily, grid: Grid) -> TridiagonalOperator:
-    """Second-order central stencil: diagonal 2/h^2 + V(z_i), off-diagonal -1/h^2.
+def discretize(v: TanhPoly, grid: Grid) -> TridiagonalOperator:
+    """Central stencil of V(z) = v(tanh z): diagonal 2/h^2 + V(z_i), off-diagonal -1/h^2.
 
     A spacing so fine that 1/h^2, or so coarse that h^2, is not a finite
     double raises NumericalError.
@@ -119,9 +120,8 @@ def discretize(fam: PotentialFamily, grid: Grid) -> TridiagonalOperator:
     inv_h2 = 1.0 / h2 if h2 else math.inf
     if inv_h2 == math.inf:
         raise NumericalError(f"grid spacing h = {grid.h:.3e} puts 1/h^2 past the double range")
-    v = potential_values(fam.tanh_poly(), grid.zs())
     return TridiagonalOperator(
-        diagonal=2.0 * inv_h2 + v,
+        diagonal=2.0 * inv_h2 + potential_values(v, grid.zs()),
         off_diagonal=np.full(grid.points - 1, -inv_h2),
     )
 
@@ -505,17 +505,17 @@ def require_positive_finite(values: dict[str, float]) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def scattering_amplitudes(fam: PotentialFamily, k: float,
+def scattering_amplitudes(v: TanhPoly, k: float,
                           half_width: float = SCATTER_HALF_WIDTH,
                           step: float = SCATTER_STEP) -> ScatteringResult:
     """Reflection/transmission probabilities at wavenumber k above the tail.
 
-    The incident energy is E = k^2 + V_inf, with V_inf = P(1) for the well's
-    tanh_poly() P.  psi'' = (V - E) psi is marched from +L to -L with the
-    transmitted plane wave as seed, by classical fixed-step RK4 at step h and
-    at h/2 (_march, which marches +L to 0 and mirrors it).  A well that is not
-    even (P changes under t -> -t, which unequal tails P(-1) != P(1) always
-    do), or a V that has not decayed to within 1e-10 of V_inf at +-L, raises
+    For V(z) = v(tanh z) the incident energy is E = k^2 + V_inf, V_inf = v(1).
+    psi'' = (V - E) psi is marched from +L to -L with the transmitted plane
+    wave as seed, by classical fixed-step RK4 at step h and at h/2 (_march,
+    which marches +L to 0 and mirrors it).  A well that is not even (v changes
+    under t -> -t, which unequal tails v(-1) != v(1) always do), or a V that
+    has not decayed to within 1e-10 of V_inf at +-L, raises
     NumericalError before anything is marched.  Two built-in sanity checks
     guard the integration: flux conservation |R|^2 + |T|^2 = 1 within 1e-6,
     and agreement of |R|^2 between step h and h/2 within 1e-7.  Violations
@@ -524,12 +524,11 @@ def scattering_amplitudes(fam: PotentialFamily, k: float,
     """
     k, half_width, step = float(k), float(half_width), float(step)
     require_positive_finite({"wavenumber": k, "half width": half_width, "step": step})
-    v = fam.tanh_poly()
     v_inf = float(v(1))
     if v.reflected() != v:
         raise NumericalError(
-            f"scattering runs are restricted to even wells; {fam!r} has V(-z) != V(z) "
-            f"(asymptotes {float(v(-1))} and {v_inf})")
+            f"scattering runs are restricted to even wells; V = P(tanh z) with "
+            f"P = {v!r} has V(-z) != V(z) (asymptotes {float(v(-1))} and {v_inf})")
 
     def probabilities(p: list[list[float]]) -> tuple[float, float]:
         a, b = _amplitudes(p, k, half_width)
@@ -573,9 +572,15 @@ def sech_well_reflection_exact(l: float, k: float) -> float:
     Classical scattering result for V = -l(l+1) sech^2 z; used as an
     independent cross-check of the integrator (zero exactly at integer l).
     At l = 0, where sin^2(pi l) is exactly 0, it returns 0.0 without the
-    division, which would be 0/0 once sinh^2(pi k) underflows.
+    division, which would be 0/0 once sinh^2(pi k) underflows.  Past k ~ 113,
+    where sinh^2(pi k) = (1 - x)^2 / 4x with x = e^{-2 pi k} overflows, it
+    takes the same ratio in x.
     """
     s = math.sin(math.pi * l) ** 2
     if s == 0.0:
         return 0.0
-    return s / (math.sinh(math.pi * k) ** 2 + s)
+    try:
+        return s / (math.sinh(math.pi * k) ** 2 + s)
+    except OverflowError:
+        x = math.exp(-2.0 * math.pi * k)
+        return 4.0 * s * x / ((1.0 - x) ** 2 + 4.0 * s * x)

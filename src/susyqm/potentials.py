@@ -12,8 +12,8 @@ exists, threshold_level the zero-energy edge state of an integer-depth sech
 well, and fd_ceiling the energy below which the finite-difference oracle
 counts bound levels.  V(z) = P(tanh z) is evaluated only by
 potential_values; the tails are P(-1) and P(1), continuum_edge the lower.
-Each class is the only home of its well's admissibility, levels and exact
-energies.
+The numeric oracles of fd_oracle take P alone, never a well.  Each class is
+the only home of its well's admissibility, levels and exact energies.
 The log-deformed zero-energy family has no level-independent potential, so it
 is no family here; spectra.gamma_deformed_residual verifies it level by level.
 """
@@ -140,9 +140,6 @@ class RosenMorseII(_TanhWell):
         return spectra.rosen_morse_eigenfunction(self, n)
 
 
-PotentialFamily = PoschlTeller | RosenMorseII
-
-
 def potential_values(v: TanhPoly, z: np.ndarray) -> np.ndarray:
-    """V(z) = P(tanh z) on given points, for the polynomial P of a well's tanh_poly()."""
+    """V(z) = P(tanh z) on given points, for a polynomial P such as a well's tanh_poly()."""
     return v.values(np.tanh(z))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .potentials import potential_values
 from .tanh_algebra import HypWave, TanhPoly, _d_poly, as_fraction
 
 
@@ -35,9 +36,6 @@ class ClosedFormSuperpotential:
 
     def derivative_tanh_poly(self) -> TanhPoly:
         return TanhPoly((self.k, 0, -self.k))  # k (1 - t^2)
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        return float(self.k) * np.tanh(np.asarray(z, dtype=float)) + float(self.s)
 
     def ground_state(self) -> HypWave:
         """e^{-int W} = sech^k z e^{-s z} = (1-t)^((k+s)/2) (1+t)^((k-s)/2)."""
@@ -74,9 +72,9 @@ def partner_potentials(w: ClosedFormSuperpotential) -> PartnerPair:
 
 
 def riccati_residual(zs: np.ndarray, v1: np.ndarray, w: ClosedFormSuperpotential) -> float:
-    """Sup-norm over the points zs of the samples v1 - (W^2 - W'), W evaluated exactly."""
+    """Sup-norm over the points zs of the samples v1 - (W^2 - W'), W from its polynomial."""
     zs = np.asarray(zs, dtype=float)
-    wv = w.values(zs)
+    wv = potential_values(w.tanh_poly(), zs)
     dv = float(w.k) / np.cosh(zs) ** 2
     return float(np.max(np.abs(np.asarray(v1, dtype=float) - (wv * wv - dv))))
 

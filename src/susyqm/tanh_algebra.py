@@ -333,11 +333,6 @@ class HypWave:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "prefactor", pref)
 
-    @classmethod
-    def sech_power(cls, m) -> "HypWave":
-        m = as_fraction(m)
-        return cls(m / 2, m / 2, TanhPoly.one())
-
     @property
     def is_zero(self) -> bool:
         return self.prefactor == 0

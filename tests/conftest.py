@@ -41,22 +41,11 @@ def default_grid():
     return Grid(-12.0, 12.0, 2001)
 
 
-class OddWell:
-    """V = tanh z sech^2 z: equal asymptotes 0, but V(-z) = -V(z), so not even.
-
-    A test-only well with the family interface that scattering reads.
-    """
-
-    def __repr__(self):
-        return "OddWell()"
-
-    def tanh_poly(self) -> TanhPoly:
-        return TanhPoly((0, 1, 0, -1))  # t (1 - t^2)
-
-
 @pytest.fixture
 def odd_well():
-    return OddWell()
+    """V = tanh z sech^2 z as its polynomial t (1 - t^2) in t = tanh z: equal
+    asymptotes 0, but V(-z) = -V(z), so not even."""
+    return TanhPoly((0, 1, 0, -1))
 
 
 @pytest.fixture

@@ -1068,7 +1068,7 @@ def test_scatter_report_stays_pinned(argv, r2, t2, flux_defect, drift, capsys):
 
 def test_scatter_of_a_well_that_is_not_even_exits_3(odd_well, potential_calls, monkeypatch,
                                                     capsys):
-    monkeypatch.setattr(cli, "_family", lambda params: odd_well)
+    monkeypatch.setattr(cli.PoschlTeller, "tanh_poly", lambda self: odd_well)
     code, out, err = run(["scatter", "--family", "poschl-teller", "--l", "1", "--k", "1"],
                          capsys)
     assert (code, out) == (3, "")

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import hashlib
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -65,19 +67,19 @@ def test_tridiagonal_validation():
 
 
 def test_discretize_free_laplacian():
-    op = discretize(PoschlTeller(0), Grid(-1.0, 1.0, 3))  # h = 1
+    op = discretize(PoschlTeller(0).tanh_poly(), Grid(-1.0, 1.0, 3))  # h = 1
     assert np.allclose(op.diagonal, [2.0, 2.0, 2.0])
     assert np.allclose(op.off_diagonal, [-1.0, -1.0])
 
 
 def test_discretize_well_depth_at_origin():
-    op = discretize(PoschlTeller(1), GRID)
+    op = discretize(PoschlTeller(1).tanh_poly(), GRID)
     mid = GRID.points // 2
     assert op.diagonal[mid] == pytest.approx(2.0 / GRID.h ** 2 - 2.0, rel=1e-12)
 
 
 def test_discretize_tilted_asymptote():
-    op = discretize(RosenMorseII(2, HALF), GRID)
+    op = discretize(RosenMorseII(2, HALF).tanh_poly(), GRID)
     # V -> n'(n'+1) - 2B = 5 at z -> +inf
     assert op.diagonal[-1] == pytest.approx(2.0 / GRID.h ** 2 + 5.0, abs=1e-8)
 
@@ -116,23 +118,23 @@ def test_derived_potential_matches_the_closed_forms(well, z):
 @pytest.mark.parametrize("z_max", [2e-300, 2e-157])
 def test_discretize_rejects_a_spacing_past_the_double_range(z_max):
     with pytest.raises(NumericalError, match="past the double range"):
-        discretize(PoschlTeller(1), Grid(0.0, z_max, 2001))
+        discretize(PoschlTeller(1).tanh_poly(), Grid(0.0, z_max, 2001))
 
 
 def test_free_laplacian_has_no_negative_eigenvalues():
-    op = discretize(PoschlTeller(0), Grid(-12.0, 12.0, 201))
+    op = discretize(PoschlTeller(0).tanh_poly(), Grid(-12.0, 12.0, 201))
     assert bound_state_eigenvalues(op, below=-1e-9, max_count=3) == []
 
 
 def test_pt_single_level():
-    evs = bound_state_eigenvalues(discretize(PoschlTeller(1), GRID),
+    evs = bound_state_eigenvalues(discretize(PoschlTeller(1).tanh_poly(), GRID),
                                   below=-1e-6, max_count=3)
     assert len(evs) == 1
     assert evs[0] == pytest.approx(-1.0, abs=1e-3)
 
 
 def test_pt_three_levels():
-    evs = bound_state_eigenvalues(discretize(PoschlTeller(3), GRID),
+    evs = bound_state_eigenvalues(discretize(PoschlTeller(3).tanh_poly(), GRID),
                                   below=-1e-6, max_count=5)
     assert len(evs) == 3
     for ev, exact in zip(evs, (-9.0, -4.0, -1.0)):
@@ -141,7 +143,7 @@ def test_pt_three_levels():
 
 def test_max_count_exceeded_is_reported():
     with pytest.raises(NumericalError):
-        bound_state_eigenvalues(discretize(PoschlTeller(5), GRID),
+        bound_state_eigenvalues(discretize(PoschlTeller(5).tanh_poly(), GRID),
                                 below=-1e-6, max_count=2)
 
 
@@ -161,13 +163,13 @@ def _counts(op, shifts):
 
 
 def test_sturm_count_matches_spectrum():
-    op = discretize(PoschlTeller(3), GRID)
+    op = discretize(PoschlTeller(3).tanh_poly(), GRID)
     assert _counts(op, [-1e-6, -2.0, -100.0]) == [3, 2, 0]
     assert _reference_counts(op, [-1e-6, -2.0, -100.0]) == [3, 2, 0]
 
 
 def test_determinism_bit_identical():
-    op = discretize(RosenMorseII(Fraction(5, 2), HALF), GRID)
+    op = discretize(RosenMorseII(Fraction(5, 2), HALF).tanh_poly(), GRID)
     a = bound_state_eigenvalues(op, below=7.75 - 1e-9, max_count=5)
     b = bound_state_eigenvalues(op, below=7.75 - 1e-9, max_count=5)
     assert a == b
@@ -177,7 +179,7 @@ def test_sturm_matches_scipy():
     from scipy.linalg import eigh_tridiagonal
 
     for fam, below, max_count in SPECTRA_FAMILIES:
-        op = discretize(fam, GRID)
+        op = discretize(fam.tanh_poly(), GRID)
         ours = bound_state_eigenvalues(op, below=below, max_count=max_count)
         ref = eigh_tridiagonal(op.diagonal, op.off_diagonal,
                                select="v", select_range=(-1e6, below))[0]
@@ -188,7 +190,7 @@ def test_sturm_matches_scipy():
 @pytest.mark.parametrize("index", [0, 4, 7])
 def test_eigenvalues_are_bracketed_by_sturm_counts(index):
     fam, below, max_count = SPECTRA_FAMILIES[index]
-    op = discretize(fam, GRID)
+    op = discretize(fam.tanh_poly(), GRID)
     tol = fd_oracle.BISECTION_TOL
     evs = bound_state_eigenvalues(op, below, max_count)
     shifts = [x for ev in evs for x in (ev - tol, ev + tol)]
@@ -197,7 +199,7 @@ def test_eigenvalues_are_bracketed_by_sturm_counts(index):
 
 
 def test_exhausted_sweep_cap_raises():
-    op = discretize(PoschlTeller(3), GRID)
+    op = discretize(PoschlTeller(3).tanh_poly(), GRID)
     for max_iter in (0, 1, 5):
         with pytest.raises(NumericalError, match="multisection"):
             bound_state_eigenvalues(op, below=-1e-6, max_count=5, max_iter=max_iter)
@@ -218,7 +220,7 @@ def test_tolerance_below_float_spacing_converges():
 
 
 def _spectra_requests():
-    return [(discretize(fam, GRID), below, max_count)
+    return [(discretize(fam.tanh_poly(), GRID), below, max_count)
             for fam, below, max_count in SPECTRA_FAMILIES]
 
 
@@ -238,12 +240,12 @@ def test_fd_eigenvalues_pinned():
 
 
 def test_batch_with_empty_members():
-    pt3 = discretize(PoschlTeller(3), GRID)
+    pt3 = discretize(PoschlTeller(3).tanh_poly(), GRID)
     requests = [
-        (discretize(PoschlTeller(0), GRID), -1e-6, 3),
-        (discretize(PoschlTeller(2), GRID), -1e-6, 4),
+        (discretize(PoschlTeller(0).tanh_poly(), GRID), -1e-6, 3),
+        (discretize(PoschlTeller(2).tanh_poly(), GRID), -1e-6, 4),
         (pt3, -20.0, 5),    # below the Gershgorin bound, -12
-        (discretize(TILTED[0], GRID), TILTED[0].continuum_edge - 1e-9, 8),
+        (discretize(TILTED[0].tanh_poly(), GRID), TILTED[0].continuum_edge - 1e-9, 8),
         (pt3, -10.0, 5),    # above the Gershgorin bound, below the lowest level, -9
         (pt3, -1e-6, 5),
     ]
@@ -255,13 +257,13 @@ def test_batch_with_empty_members():
 
 
 def test_batch_max_count_overflow_in_later_member():
-    pt5 = discretize(PoschlTeller(5), GRID)
+    pt5 = discretize(PoschlTeller(5).tanh_poly(), GRID)
     with pytest.raises(NumericalError) as alone:
         bound_state_eigenvalues(pt5, below=-1e-6, max_count=2)
     assert str(alone.value) == "5 eigenvalues found below -1e-06, exceeding max_count = 2"
     with pytest.raises(NumericalError) as batched:
         fd_oracle.bound_state_eigenvalues_batch(
-            [(discretize(PoschlTeller(1), GRID), -1e-6, 3), (pt5, -1e-6, 2)])
+            [(discretize(PoschlTeller(1).tanh_poly(), GRID), -1e-6, 3), (pt5, -1e-6, 2)])
     assert str(batched.value) == str(alone.value)
 
 
@@ -277,12 +279,13 @@ def test_batch_sweep_cap():
 def test_batch_rejects_operators_of_different_sizes():
     with pytest.raises(ValueError, match="same size"):
         fd_oracle.bound_state_eigenvalues_batch([
-            (discretize(PoschlTeller(1), GRID), -1e-6, 3),
-            (discretize(PoschlTeller(1), Grid(-12.0, 12.0, 1001)), -1e-6, 3)])
+            (discretize(PoschlTeller(1).tanh_poly(), GRID), -1e-6, 3),
+            (discretize(PoschlTeller(1).tanh_poly(), Grid(-12.0, 12.0, 1001)), -1e-6, 3)])
 
 
 def test_counts_below_mixes_operators_per_column():
-    ops = [discretize(fam, GRID) for fam in (PoschlTeller(3), TILTED[1], PoschlTeller(5))]
+    ops = [discretize(fam.tanh_poly(), GRID)
+           for fam in (PoschlTeller(3), TILTED[1], PoschlTeller(5))]
     d, e2, pivmin = fd_oracle._stacked(ops)
     # levels: -9, -4, -1 | 26/9, 31/4 below the edge 10 | -25, -16, -9, -4, -1
     shifts = np.array([-2.0, 3.0, -20.0, -100.0, 7.5, -1e-6, -3.0, -0.5, 9.0])
@@ -383,7 +386,7 @@ def test_counts_below_equals_row_by_row_reference(case):
 
 @pytest.mark.parametrize("rows,block_rows", [(3, 1), (3, 2), (3, 3), (7, 3), (7, 8)])
 def test_counts_below_block_lengths_on_an_operator(rows, block_rows):
-    op = discretize(PoschlTeller(2), Grid(-12.0, 12.0, rows))
+    op = discretize(PoschlTeller(2).tanh_poly(), Grid(-12.0, 12.0, rows))
     d, e2, _pivmin = fd_oracle._stacked([op])
     shifts = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
     blocked, reference = _blocked_against_row_by_row(d, e2, shifts, np.zeros(3, np.intp),
@@ -395,7 +398,7 @@ def test_grid_convergence_is_second_order():
     errors = {}
     for points in (1001, 2001):
         evs = bound_state_eigenvalues(
-            discretize(PoschlTeller(2), Grid(-12.0, 12.0, points)),
+            discretize(PoschlTeller(2).tanh_poly(), Grid(-12.0, 12.0, points)),
             below=-1e-6, max_count=3)
         errors[points] = [abs(ev - float(PoschlTeller(2).energy(n)))
                           for n, ev in enumerate(evs)]
@@ -408,23 +411,23 @@ def test_grid_convergence_is_second_order():
 
 
 def test_reflectionless_integer_depth():
-    assert scattering_amplitudes(PoschlTeller(1), 1.0).r2 <= 1e-6
-    assert scattering_amplitudes(PoschlTeller(2), 0.5).r2 <= 1e-6
+    assert scattering_amplitudes(PoschlTeller(1).tanh_poly(), 1.0).r2 <= 1e-6
+    assert scattering_amplitudes(PoschlTeller(2).tanh_poly(), 0.5).r2 <= 1e-6
 
 
 def test_free_potential_does_not_reflect():
-    assert scattering_amplitudes(PoschlTeller(0), 1.0).r2 <= 1e-15
+    assert scattering_amplitudes(PoschlTeller(0).tanh_poly(), 1.0).r2 <= 1e-15
 
 
 def test_half_integer_depth_reflects():
-    res = scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1.0)
+    res = scattering_amplitudes(PoschlTeller(Fraction(3, 2)).tanh_poly(), 1.0)
     assert res.r2 >= 1e-3
     assert abs(res.flux_defect) <= 1e-6
 
 
 @pytest.mark.parametrize("l,k", [(0.5, 1.0), (1.5, 0.7), (2.5, 1.3), (1.25, 1.0)])
 def test_reflection_matches_analytic_formula(l, k):
-    computed = scattering_amplitudes(PoschlTeller(Fraction(l)), k).r2
+    computed = scattering_amplitudes(PoschlTeller(Fraction(l)).tanh_poly(), k).r2
     assert computed == pytest.approx(sech_well_reflection_exact(l, k), abs=1e-9)
 
 
@@ -435,62 +438,73 @@ def test_reflection_formula_at_depth_0_with_an_underflowing_sinh():
     assert sech_well_reflection_exact(0.0, 4.349168191025984e-288) == 0.0
 
 
+@pytest.mark.parametrize("l,k", [(0.5, 113.5), (0.5, 200.0), (0.25, 300.0), (0.75, 1e300)])
+def test_reflection_formula_past_the_range_of_sinh_squared(l, k):
+    # sinh^2(pi k) is past the double range from k ~ 113.4 and sinh(pi k)
+    # itself from k ~ 226, where |R|^2 = 4 sin^2(pi l) e^{-2 pi k} to within a
+    # factor 1 + O(e^{-2 pi k}), a subnormal double or 0
+    s = math.sin(math.pi * l) ** 2
+    expected = 4.0 * s * math.exp(-2.0 * math.pi * k)
+    assert expected < 1e-308
+    assert sech_well_reflection_exact(l, k) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 def test_transmission_resonance_structure():
     # |T|^2 = 1 - |R|^2 and both lie in [0, 1]
-    res = scattering_amplitudes(PoschlTeller(Fraction(1, 2)), 0.6)
+    res = scattering_amplitudes(PoschlTeller(Fraction(1, 2)).tanh_poly(), 0.6)
     assert 0.0 <= res.r2 <= 1.0
     assert res.t2 == pytest.approx(1.0 - res.r2, abs=1e-6)
 
 
 def test_scatter_shifted_symmetric_well():
     # B = 0 tilted well is the sech well on a pedestal: same reflection
-    r_shifted = scattering_amplitudes(RosenMorseII(2, 0), 1.0).r2
+    r_shifted = scattering_amplitudes(RosenMorseII(2, 0).tanh_poly(), 1.0).r2
     assert r_shifted <= 1e-6
 
 
 def test_scatter_rejects_asymmetric_tails():
     with pytest.raises(NumericalError):
-        scattering_amplitudes(RosenMorseII(2, HALF), 1.0)
+        scattering_amplitudes(RosenMorseII(2, HALF).tanh_poly(), 1.0)
 
 
 def test_scatter_rejects_a_well_that_is_not_even(odd_well, potential_calls):
     # equal asymptotes, but V(-z) != V(z): the march's mirror half would be
     # wrong, so the well is refused before V is evaluated anywhere
     z = np.linspace(-3.0, 3.0, 61)
-    assert np.allclose(np.tanh(z) / np.cosh(z) ** 2, potential_values(odd_well.tanh_poly(), z),
+    assert np.allclose(np.tanh(z) / np.cosh(z) ** 2, potential_values(odd_well, z),
                        rtol=0.0, atol=1e-15)
     with pytest.raises(NumericalError, match="restricted to even wells"):
         scattering_amplitudes(odd_well, 1.0)
     assert potential_calls == []
     # the B = 0 tilted well and the free well are even, and still accepted
-    assert scattering_amplitudes(RosenMorseII(2, 0), 1.0).r2 <= 1e-6
-    assert scattering_amplitudes(PoschlTeller(0), 1.0).r2 <= 1e-15
+    assert scattering_amplitudes(RosenMorseII(2, 0).tanh_poly(), 1.0).r2 <= 1e-6
+    assert scattering_amplitudes(PoschlTeller(0).tanh_poly(), 1.0).r2 <= 1e-15
 
 
 def test_scatter_rejects_undecayed_window():
     with pytest.raises(NumericalError):
-        scattering_amplitudes(PoschlTeller(1), 1.0, half_width=3.0)
+        scattering_amplitudes(PoschlTeller(1).tanh_poly(), 1.0, half_width=3.0)
     with pytest.raises(ValueError, match="half width"):
-        scattering_amplitudes(PoschlTeller(1), 1.0, half_width=math.nan)
+        scattering_amplitudes(PoschlTeller(1).tanh_poly(), 1.0, half_width=math.nan)
 
 
 def test_scatter_rejects_bad_wavenumber():
     for k in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            scattering_amplitudes(PoschlTeller(1), k)
+            scattering_amplitudes(PoschlTeller(1).tanh_poly(), k)
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
 def test_scatter_rejects_bad_window(value):
     with pytest.raises(ValueError, match="half width must be positive and finite"):
-        scattering_amplitudes(PoschlTeller(1), 1.0, half_width=value)
+        scattering_amplitudes(PoschlTeller(1).tanh_poly(), 1.0, half_width=value)
     with pytest.raises(ValueError, match="step must be positive and finite"):
-        scattering_amplitudes(PoschlTeller(1), 1.0, step=value)
+        scattering_amplitudes(PoschlTeller(1).tanh_poly(), 1.0, step=value)
 
 
 def test_scatter_overflowing_amplitude_is_numerical_error():
     with pytest.raises(NumericalError, match="not finite doubles"):
-        scattering_amplitudes(PoschlTeller(Fraction(3, 2)), 1e-300)
+        scattering_amplitudes(PoschlTeller(Fraction(3, 2)).tanh_poly(), 1e-300)
 
 
 def test_backward_step_is_the_adjugate_of_the_forward_step():
@@ -613,7 +627,7 @@ def test_ordered_product_delta_matches_matrix_product():
 
 def test_scattering_reports_its_diagnostics(potential_calls):
     fam = PoschlTeller(Fraction(3, 2))
-    res = scattering_amplitudes(fam, 1.0, 20.0, 1e-2)
+    res = scattering_amplitudes(fam.tanh_poly(), 1.0, 20.0, 1e-2)
     # the half of one fine half-step lattice from L to 0 for both marches and
     # the tail check at L, and the other end, -L, for the tail check
     assert sum(len(z) for z, _v in potential_calls) == 2 * 4000 + 1 + 1
@@ -645,13 +659,6 @@ def test_march_evaluates_each_lattice_point_once(n_steps, potential_calls):
                           potential_values(v, lattice))
 
 
-class _UndecayedAtOneEnd:
-    """A well that is even and has tails 0: its tanh_poly() is zero."""
-
-    def tanh_poly(self):
-        return TanhPoly.zero()
-
-
 @pytest.mark.parametrize("bad_end", [1, -1])
 def test_decay_checked_at_both_ends(bad_end, monkeypatch):
     # V = 0 inside |z| <= 19 but 1e-3 past 19 at one end: the evenness guard
@@ -667,7 +674,7 @@ def test_decay_checked_at_both_ends(bad_end, monkeypatch):
     monkeypatch.setattr(fd_oracle, "potential_values", undecayed)
     with pytest.raises(NumericalError, match=r"has not decayed at \|z\| = 20.0: "
                                              r"\|V - V_inf\| = 1\.000e-03"):
-        scattering_amplitudes(_UndecayedAtOneEnd(), 1.0, 20.0, 1e-3)
+        scattering_amplitudes(TanhPoly.zero(), 1.0, 20.0, 1e-3)
     assert len(calls) == 2
 
 
@@ -702,6 +709,21 @@ VERIFY_SCATTER_PINS = [
 
 @pytest.mark.parametrize("depth,k,r2,t2,flux_defect,drift", VERIFY_SCATTER_PINS)
 def test_verify_scatter_cases_stay_pinned(depth, k, r2, t2, flux_defect, drift):
-    res = scattering_amplitudes(PoschlTeller(Fraction(depth)), k, 20.0, 1e-3)
+    res = scattering_amplitudes(PoschlTeller(Fraction(depth)).tanh_poly(), k, 20.0, 1e-3)
     got = (res.r2, res.t2, res.flux_defect, res.step_halving_drift)
     assert all(abs(x - pin) <= 1e-13 for x, pin in zip(got, (r2, t2, flux_defect, drift)))
+
+
+def test_fd_oracle_cannot_reach_a_closed_form():
+    # the module docstring's promise that nothing here reuses the closed-form
+    # levels: of potentials it takes the polynomial and its evaluation alone,
+    # and it imports neither the spectra nor the superpotentials
+    imports = [node for node in ast.walk(ast.parse(inspect.getsource(fd_oracle)))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    from_potentials = {alias.name for node in imports
+                       if isinstance(node, ast.ImportFrom) and node.module == "potentials"
+                       for alias in node.names}
+    assert from_potentials == {"TanhPoly", "potential_values"}
+    paths = [f"{getattr(node, 'module', None) or ''}.{alias.name}"
+             for node in imports for alias in node.names]
+    assert not [path for path in paths if {"spectra", "susy_core"} & set(path.split("."))]

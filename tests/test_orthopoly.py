@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from susyqm import (
-    HypWave, ProportionalityError, TanhPoly, assoc_legendre,
+    ClosedFormSuperpotential, HypWave, ProportionalityError, TanhPoly, assoc_legendre,
     check_gegenbauer_identity, check_legendre_identity, gegenbauer_poly,
     jacobi_poly, ladder_chain, ladder_tower, legendre_poly, proportionality_constant,
 )
@@ -115,7 +115,7 @@ def test_gegenbauer_jacobi_bridge_near_legendre(eps):
 
 
 def test_assoc_legendre_examples():
-    assert assoc_legendre(1, 1) == HypWave.sech_power(1)
+    assert assoc_legendre(1, 1) == ClosedFormSuperpotential(1).ground_state()
     assert assoc_legendre(2, 1) == HypWave(Fraction(1, 2), Fraction(1, 2), TanhPoly.t(), 3)
     assert assoc_legendre(2, 0) == HypWave(0, 0, TanhPoly((-1, 0, 3)), Fraction(1, 2))
     assert legendre_poly(2) == TanhPoly((Fraction(-1, 2), 0, Fraction(3, 2)))
@@ -130,12 +130,14 @@ def test_assoc_legendre_rejects_bad_orders():
 
 def test_proportionality_error_paths():
     with pytest.raises(ProportionalityError):
-        proportionality_constant(HypWave.sech_power(1), HypWave.sech_power(2))
+        proportionality_constant(ClosedFormSuperpotential(1).ground_state(),
+                                 ClosedFormSuperpotential(2).ground_state())
     with pytest.raises(ProportionalityError):
         proportionality_constant(
             HypWave(0, 0, TanhPoly.t()), HypWave(0, 0, TanhPoly((1, 1))))
     with pytest.raises(ProportionalityError):
-        proportionality_constant(HypWave(0, 0, TanhPoly.one(), 0), HypWave.sech_power(1))
+        proportionality_constant(HypWave(0, 0, TanhPoly.one(), 0),
+                                 ClosedFormSuperpotential(1).ground_state())
 
 
 def test_legendre_identity_frozen_constants():

@@ -113,8 +113,8 @@ def test_reflection_scan_row_count_at_cap_runs(tmp_path, monkeypatch):
     module = load_script("reflection_scan")
     calls = []
 
-    def fake(fam, k):
-        calls.append(fam.l)
+    def fake(v, k):
+        calls.append(v)
         return SimpleNamespace(r2=0.0, flux_defect=0.0)
 
     monkeypatch.setattr(module, "scattering_amplitudes", fake)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from susyqm import (
-    ChartDomainError, Grid, HypWave, PoschlTeller, RosenMorseII, TanhPoly,
+    ChartDomainError, ClosedFormSuperpotential, Grid, PoschlTeller, RosenMorseII, TanhPoly,
     eigen_residual_symbolic, gamma_deformed_residual, gegenbauer_spectrum,
     ladder_chain, proportionality_constant,
 )
@@ -112,7 +112,7 @@ def test_rm_spectrum_properties(n_prime, B):
 
 
 def test_rm_eigenfunction_examples():
-    assert RosenMorseII(2, 0).eigenfunction(0) == HypWave.sech_power(2)
+    assert RosenMorseII(2, 0).eigenfunction(0) == ClosedFormSuperpotential(2).ground_state()
     w = RosenMorseII(2, HALF).eigenfunction(0)
     # decay exponents (s -+ r)/2 with s = 2, r = 1/4: weaker decay on the
     # side the tanh tilt pushes the state toward

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 
 from conftest import rationals
 from susyqm import (
-    ClosedFormSuperpotential, Grid, PoschlTeller, RosenMorseII, TanhPoly,
+    ClosedFormSuperpotential, Grid, PoschlTeller, RosenMorseII, TanhPoly, discretize,
     eigen_residual_symbolic, partner_potentials, riccati_residual,
     shape_invariance_remainder, si_level_energy,
 )
+from susyqm.fd_oracle import bound_state_eigenvalues_batch
 
 GRID = Grid(-12.0, 12.0, 2001)
 
@@ -59,6 +60,25 @@ def test_riccati_detects_sign_flip():
     v1 = 1.0 - 2.0 / np.cosh(zs) ** 2
     # W -> -W flips the W' term: residual sup |2 W'| = 2 sech^2(0)
     assert riccati_residual(zs, v1, closed(-1)) == pytest.approx(2.0, abs=1e-12)
+
+
+# W = k tanh z + s, all with normalizable ground states e^{-int W}: |s| < k
+PARTNER_SUPERPOTENTIALS = [(1, 0), (Fraction(3, 2), 0), (2, 0), (3, 0), (2, Fraction(1, 2)),
+                           (3, 1), (Fraction(5, 2), Fraction(-1, 2))]
+
+
+def test_partners_are_isospectral_on_the_grid():
+    # the partner claim through the finite-difference oracle alone, with no
+    # closed-form level: H1 = A^dagger A has a level at 0 and H2 = A A^dagger
+    # has every other level of H1, E1[n + 1] = E2[n]
+    pairs = [partner_potentials(closed(k, s)) for k, s in PARTNER_SUPERPOTENTIALS]
+    evs = bound_state_eigenvalues_batch(
+        [(discretize(v, GRID), float(min(v(-1), v(1))) - 1e-9, 10)
+         for pair in pairs for v in (pair.v1, pair.v2)])
+    for (k, s), e1, e2 in zip(PARTNER_SUPERPOTENTIALS, evs[0::2], evs[1::2]):
+        assert len(e1) == len(e2) + 1, (k, s, e1, e2)
+        assert abs(e1[0]) <= 2e-3, (k, s, e1)
+        assert all(abs(a - b) <= 2e-3 for a, b in zip(e1[1:], e2)), (k, s, e1, e2)
 
 
 def test_shape_invariance_examples():

@@ -16,7 +16,7 @@ from susyqm import (
 from susyqm.cli import _wave_payload
 from susyqm.tanh_algebra import _d_poly
 
-SECH = HypWave.sech_power(1)
+SECH = ClosedFormSuperpotential(1).ground_state()
 T = TanhPoly.t()
 
 
@@ -192,11 +192,13 @@ def test_poly_not_divisible_by_weight_factors(w):
 
 
 def test_add_aligns_integer_shifts():
-    total = HypWave.sech_power(2) + HypWave.sech_power(4)
+    total = (ClosedFormSuperpotential(2).ground_state()
+             + ClosedFormSuperpotential(4).ground_state())
     # sech^2 (1 + sech^2) = (1-t)(1+t) * (2 - t^2)
     assert total == HypWave(1, 1, TanhPoly((2, 0, -1)))
     with pytest.raises(ValueError):
-        HypWave.sech_power(1) + HypWave.sech_power(2)
+        (ClosedFormSuperpotential(1).ground_state()
+         + ClosedFormSuperpotential(2).ground_state())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,7 @@ def test_a_plus_a_dagger_is_2w(w, k, s):
 
 def test_ladder_chain_examples():
     assert ladder_chain(2, 1) == HypWave(Fraction(1, 2), Fraction(1, 2), T, 3)
-    assert ladder_chain(2, 0) == HypWave.sech_power(2)
+    assert ladder_chain(2, 0) == ClosedFormSuperpotential(2).ground_state()
     top = ladder_chain(2, 2)  # zero-energy edge state, proportional to 3t^2 - 1
     assert (top.a, top.b) == (0, 0)
     assert top.poly == TanhPoly((-1, 0, 3))
@@ -337,7 +339,7 @@ depths = st.one_of(
 @settings(max_examples=60)
 def test_ladder_tower_matches_repeated_raising(depth, n):
     # reference: sech^depth z raised one operator at a time, k = depth + 1, depth + 2, ...
-    w = HypWave.sech_power(depth)
+    w = ClosedFormSuperpotential(depth).ground_state()
     expected = [w]
     for j in range(n):
         w = ClosedFormSuperpotential(depth + 1 + j).apply_a_dagger(w)
