@@ -902,6 +902,31 @@ def test_eigen_golden(command, exit_code, sha, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
+# sha256 of the exact stdout, and the exit code, of the default finite-difference
+# runs: the `verify spectra` batch, the whole verdict, a one-level sech well and
+# a tilted well.  Taken while every multisection sweep counted all 63 interior
+# shifts of each bracket in one pass.
+SWEEP_GOLDEN = [
+    ("verify spectra", 0,
+     "d34ce97e56bb930f95b1cf52ef42d98bcf1bf7327d4d0ce2dbf38e4102fbf7af"),
+    ("verify all", 0,
+     "3cd1ea802ef9f512554224419f4e80a3a8f164814802f099719bdfa83088489e"),
+    ("oracle --family poschl-teller --l 1", 0,
+     "c06b789df7998f1647074565d8dde7ca7903b45e65d973e99634fc44b2f7a9d1"),
+    ("oracle --family rosen-morse --nprime 2 --B 1/2", 0,
+     "9d30aabe231af9781028dd6e5abba13d73ae0805aac78e88f2b7a5a653bc5b1e"),
+]
+
+
+@pytest.mark.parametrize("command,exit_code,sha", SWEEP_GOLDEN,
+                         ids=[command.replace(" --", "-").replace(" ", "")
+                              for command, _code, _sha in SWEEP_GOLDEN])
+def test_sweep_golden(command, exit_code, sha, capsys):
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 # sha256 of the exact stdout, and the exit code, of `map` and `deformed`,
 # taken when each scalar map function had its own copy of the formula and
 # `deformed` its own chart test; `verify deformed` re-taken when its echo
