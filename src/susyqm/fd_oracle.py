@@ -7,16 +7,19 @@ such as a partner W^2 -+ W'), and V(z) = P(tanh z) is evaluated by
 potentials.potential_values.  Defaults: z in [-12, 12] with 2001 points
 (every sech-localized state of interest decays below 1e-10 by |z| = 12),
 Dirichlet boxes for bound states, eigenvalues bracketed to 1e-10 by Sturm
-multisection (63 interior shifts per bracket and sweep, a 200-sweep cap that
-raises when exhausted), and fixed-step classical 4th-order integration with
-h = 1e-3 for scattering.  Operators of one size are solved as a batch: each
-sweep counts the shifts of every operator in one row loop, and each operator
-leaves the batch when all of its own brackets have converged, so its
-eigenvalues do not depend on what else is in the batch.
-The row loop takes the rows in blocks, gathers each block's coefficients once
-per bracket, and checks the pivot floor once per block; it redoes a block row
-by row with the floor only where the floor would have fired, so the pivots
-are those of the plain row-by-row recurrence bit for bit.  The
+multisection (each sweep splits a bracket into 64 sub-intervals at 63
+interior shifts, a 200-sweep cap that raises when exhausted), and fixed-step
+classical 4th-order integration with h = 1e-3 for scattering.  Operators of
+one size are solved as a batch: each sweep counts the shifts of every
+operator in one row loop, or in two while at least TWO_STAGE_BRACKETS
+brackets are live (7 shifts per bracket each: every eighth edge, then the 7
+inside the eighth that holds the level), and each operator leaves the batch
+when all of its own brackets have converged, so its eigenvalues do not
+depend on what else is in the batch.  The row loop takes the rows in blocks,
+gathers each block's coefficients once per bracket into contiguous arrays,
+and checks the pivot floor once per block; it redoes a block row by row with
+the floor only where the floor would have fired, so the pivots are those of
+the plain row-by-row recurrence bit for bit.  The
 scattering equation is linear, so each RK4 step is a real 2x2 matrix M; the
 march is their ordered product, kept in difference form M - I.  Scattering
 takes even wells only, V(-z) = V(z), and marches only from +L to 0: an RK4
@@ -46,6 +49,11 @@ from .potentials import TanhPoly, potential_values
 BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200  # multisection sweeps
 MULTISECTION_SHIFTS = 63
+STAGE = 8  # a two-stage sweep counts every 8th of the 65 edges, then the 7 inside one eighth
+# the fewest live brackets for which a sweep counts in two stages: on one sech
+# operator of 2001 points, two stages took 1.57x the time of one pass at 1
+# bracket, 1.02x at 5, 0.94x at 6 and 0.78x at 8 (BENCH_sturm_two_stage.json)
+TWO_STAGE_BRACKETS = 6
 SCATTER_HALF_WIDTH = 20.0
 SCATTER_STEP = 1e-3
 FLUX_TOL = 1e-6
@@ -140,6 +148,8 @@ def _counts_below(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray,
 
     Rows run in blocks of COUNT_BLOCK // shifts.size rows (at least one).  A
     block gathers its rows of d and e2 once per group, not once per shift,
+    into contiguous block x groups x width arrays (d - s, and e2 repeated
+    across the width, so that each row's divide reads no stride-0 operand),
     then costs two numpy calls per row.  Row 0 reads e2 = 0 against an entry
     pivot of inf, and 0 / inf = 0 leaves d_0 - s as it is.
 
@@ -155,14 +165,15 @@ def _counts_below(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray,
     neg_piv, piv_max = -piv, piv.max()
     e2 = np.concatenate((np.zeros((1, e2.shape[1])), e2))  # row 0 reads 0 / inf = 0
     step = max(1, COUNT_BLOCK // shifts.size)
-    qs = np.empty((min(step, rows), *shifts.shape))
+    qs, a_buf, c_buf = np.empty((3, min(step, rows), *shifts.shape))
     tmp = np.empty(shifts.shape)
     entry = np.full(shifts.shape, np.inf)
     counts = np.zeros(shifts.shape, np.int64)
     for b0 in range(0, rows, step):
         b1 = min(b0 + step, rows)
-        a = d[b0:b1].take(owner, axis=1)[:, :, None] - shifts
-        c = e2[b0:b1].take(owner, axis=1)[:, :, None]
+        a = np.subtract(d[b0:b1].take(owner, axis=1)[:, :, None], shifts, out=a_buf[:b1 - b0])
+        c = c_buf[:b1 - b0]
+        c[...] = e2[b0:b1].take(owner, axis=1)[:, :, None]
         block = qs[:b1 - b0]
         for guarded in (False, True):
             # a pass without the floor may divide by a zero pivot, and is then
@@ -213,13 +224,24 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
 
     Each request is (operator, below, max_count); the result lists, in request
     order, each operator's ascending eigenvalues below its `below`.  Every
-    sweep splits each bracket at MULTISECTION_SHIFTS interior shifts and keeps
-    the sub-interval where the Sturm count first reaches the bracket's index
-    (Barth, Martin & Wilkinson 1967).  The shifts of every bracket of every
-    operator are counted in a single row loop per sweep.  All brackets of an
-    operator start as [Gershgorin bound, below], so the first sweep counts
-    each operator's shifts once, together with its ceiling, which gives the
-    number of brackets.
+    sweep splits each bracket [lo, hi] at MULTISECTION_SHIFTS = 63 interior
+    shifts into 64 sub-intervals and keeps the first one whose upper edge's
+    Sturm count reaches the bracket's index (Barth, Martin & Wilkinson 1967).
+    All brackets of an operator start as [Gershgorin bound, below], so the
+    first sweep counts each operator's 63 shifts once, together with its
+    ceiling, which gives the number of brackets.
+
+    A later sweep with fewer than TWO_STAGE_BRACKETS live brackets counts all
+    63 shifts of every bracket in one row loop.  With more, it counts in two
+    row loops of 7 shifts per bracket: the edges j = 8, 16, ..., 56, which
+    pick the first eighth whose upper edge reaches the index, then the 7
+    edges inside that eighth.  Either way every kept bracket has
+    count(lo) < index <= count(hi).  The two-stage pick is the sub-interval
+    of the full scan wherever the computed count does not decrease along the
+    edges, which holds for this recurrence with the pivot floor under IEEE
+    round-to-nearest (Kahan 1966; Demmel, Dhillon & Ren 1995, ETNA 3, 116),
+    so the eigenvalues are the same to the bit.  The edges themselves are
+    lo + width * (j / 64) for j = 1..63, with lo and hi, in both cases.
 
     An operator's brackets leave the batch together, at the start of the
     first sweep in which none of them is wider than max(tol, two ulps);
@@ -288,14 +310,29 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
         edges[:, 0] = los
         edges[:, 1:-1] = los[:, None] + width[:, None] * fractions
         edges[:, -1] = his
-        if sweep:  # the first sweep's counts came with the ceilings
-            counts = _counts_below(d, e2, edges[:, 1:-1], owner, pivmin)
-        # the count at hi always reaches the index, so argmax finds a True
-        reached = np.concatenate((counts >= wanted, np.ones((owner.size, 1), bool)), axis=1)
-        first = np.argmax(reached, axis=1)
         rows = np.arange(owner.size)
-        los = edges[rows, first]
-        his = edges[rows, first + 1]
+        # upper[b]: the first edge of bracket b whose count reaches its index
+        if not sweep:  # the first sweep's counts came with the ceilings
+            upper = 1 + _first_reaching(counts, wanted)
+        elif owner.size < TWO_STAGE_BRACKETS:
+            upper = 1 + _first_reaching(
+                _counts_below(d, e2, edges[:, 1:-1], owner, pivmin), wanted)
+        else:
+            # the first eighth whose upper edge reaches, then the first edge inside it
+            coarse = _counts_below(d, e2, edges[:, STAGE:-1:STAGE], owner, pivmin)
+            base = STAGE * _first_reaching(coarse, wanted)
+            inner = edges[rows[:, None], base[:, None] + np.arange(1, STAGE)]
+            upper = base + 1 + _first_reaching(
+                _counts_below(d, e2, inner, owner, pivmin), wanted)
+        los = edges[rows, upper - 1]
+        his = edges[rows, upper]
+
+
+def _first_reaching(counts: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Per row, the first column whose count reaches `wanted`, or counts.shape[1]
+    if none does: the edge above the last column always reaches."""
+    reached = counts >= wanted
+    return np.where(reached.any(axis=1), reached.argmax(axis=1), counts.shape[1])
 
 
 @dataclass(frozen=True)
