@@ -50,9 +50,10 @@ BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200  # multisection sweeps
 MULTISECTION_SHIFTS = 63
 STAGE = 8  # a two-stage sweep counts every 8th of the 65 edges, then the 7 inside one eighth
-# the fewest live brackets for which a sweep counts in two stages: on one sech
-# operator of 2001 points, two stages took 1.57x the time of one pass at 1
-# bracket, 1.02x at 5, 0.94x at 6 and 0.78x at 8 (BENCH_sturm_two_stage.json)
+# the fewest live brackets for which a sweep counts in two stages: solving one
+# sech well of 2001 points, two stages took 1.59x the time of one pass with 1
+# bracket and 1.06x with 5, broke even with 6 (0.98x) and won from 7 (0.86x)
+# to 21 (0.50x); 20001 points gave the same crossover (BENCH_sturm_two_stage.json)
 TWO_STAGE_BRACKETS = 6
 SCATTER_HALF_WIDTH = 20.0
 SCATTER_STEP = 1e-3
@@ -235,8 +236,9 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
     63 shifts of every bracket in one row loop.  With more, it counts in two
     row loops of 7 shifts per bracket: the edges j = 8, 16, ..., 56, which
     pick the first eighth whose upper edge reaches the index, then the 7
-    edges inside that eighth.  Either way every kept bracket has
-    count(lo) < index <= count(hi).  The two-stage pick is the sub-interval
+    edges inside that eighth.  Either way, a bracket with
+    count(lo) < index <= count(hi) keeps a sub-interval that has it too,
+    since each kept edge was counted.  The two-stage pick is the sub-interval
     of the full scan wherever the computed count does not decrease along the
     edges, which holds for this recurrence with the pivot floor under IEEE
     round-to-nearest (Kahan 1966; Demmel, Dhillon & Ren 1995, ETNA 3, 116),
@@ -310,20 +312,10 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
         edges[:, 0] = los
         edges[:, 1:-1] = los[:, None] + width[:, None] * fractions
         edges[:, -1] = his
+        # the first sweep's counts came with the ceilings
+        upper = (_upper_edges(d, e2, edges, owner, pivmin, wanted) if sweep
+                 else 1 + _first_reaching(counts, wanted))
         rows = np.arange(owner.size)
-        # upper[b]: the first edge of bracket b whose count reaches its index
-        if not sweep:  # the first sweep's counts came with the ceilings
-            upper = 1 + _first_reaching(counts, wanted)
-        elif owner.size < TWO_STAGE_BRACKETS:
-            upper = 1 + _first_reaching(
-                _counts_below(d, e2, edges[:, 1:-1], owner, pivmin), wanted)
-        else:
-            # the first eighth whose upper edge reaches, then the first edge inside it
-            coarse = _counts_below(d, e2, edges[:, STAGE:-1:STAGE], owner, pivmin)
-            base = STAGE * _first_reaching(coarse, wanted)
-            inner = edges[rows[:, None], base[:, None] + np.arange(1, STAGE)]
-            upper = base + 1 + _first_reaching(
-                _counts_below(d, e2, inner, owner, pivmin), wanted)
         los = edges[rows, upper - 1]
         his = edges[rows, upper]
 
@@ -333,6 +325,24 @@ def _first_reaching(counts: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     if none does: the edge above the last column always reaches."""
     reached = counts >= wanted
     return np.where(reached.any(axis=1), reached.argmax(axis=1), counts.shape[1])
+
+
+def _upper_edges(d: np.ndarray, e2: np.ndarray, edges: np.ndarray, owner: np.ndarray,
+                 pivmin: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Per bracket b (a row of edges, lo to hi), the first edge j in 1..64 whose
+    Sturm count reaches wanted[b], the count at hi being taken to reach.
+
+    Fewer than TWO_STAGE_BRACKETS brackets count their 63 interior edges in
+    one _counts_below call.  More count in two calls of 7 shifts each: the
+    edges j = 8, 16, ..., 56 give the first eighth whose upper edge reaches,
+    and the 7 edges inside that eighth give j.
+    """
+    if owner.size < TWO_STAGE_BRACKETS:
+        return 1 + _first_reaching(_counts_below(d, e2, edges[:, 1:-1], owner, pivmin), wanted)
+    coarse = _counts_below(d, e2, edges[:, STAGE:-1:STAGE], owner, pivmin)
+    base = STAGE * _first_reaching(coarse, wanted)
+    inner = edges[np.arange(owner.size)[:, None], base[:, None] + np.arange(1, STAGE)]
+    return base + 1 + _first_reaching(_counts_below(d, e2, inner, owner, pivmin), wanted)
 
 
 @dataclass(frozen=True)

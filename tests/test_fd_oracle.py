@@ -394,6 +394,147 @@ def test_counts_below_block_lengths_on_an_operator(rows, block_rows):
     assert blocked == reference == _reference_counts(op, shifts.ravel())
 
 
+def _edges(lo, hi):
+    """The 65 edges of each bracket [lo, hi], as the solver builds them."""
+    return np.concatenate((lo[:, None], lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 64) / 64),
+                           hi[:, None]), axis=1)
+
+
+def _check_sweep(upper_edges, d, e2, edges, owner, pivmin, wanted):
+    """Along the 65 edges of every bracket (lo, the 63 shifts, hi) the Sturm
+    counts never decrease; upper_edges (fd_oracle._upper_edges) picks the
+    first reaching edge of the full 63-shift scan both in one pass and in two
+    stages; and where the bracket holds level `wanted`, count(lo) < wanted <=
+    count(hi) around that edge.  Returns, per bracket, whether it holds it."""
+    full = fd_oracle._counts_below(d, e2, edges, owner, pivmin)
+    assert (np.diff(full, axis=1) >= 0).all()
+    reached = np.concatenate((full[:, 1:-1] >= wanted, np.ones((owner.size, 1), bool)), axis=1)
+    scan = 1 + np.argmax(reached, axis=1)
+    for threshold in (math.inf, 0):  # one pass, two stages
+        with mock.patch.object(fd_oracle, "TWO_STAGE_BRACKETS", threshold):
+            assert upper_edges(d, e2, edges, owner, pivmin, wanted).tolist() == scan.tolist()
+    rows, index = np.arange(owner.size), wanted[:, 0]
+    holds = (full[:, 0] < index) & (index <= full[:, -1])
+    assert (full[rows, scan - 1][holds] < index[holds]).all()
+    assert (index[holds] <= full[rows, scan][holds]).all()
+    return holds
+
+
+def _solve_checking_every_sweep(requests):
+    """bound_state_eigenvalues_batch with _check_sweep run on its first sweep
+    (the edges from each Gershgorin bound to each ceiling, built as the solver
+    builds them) and, through a spy on _upper_edges, on every later one.
+    Returns the eigenvalues and, per sweep checked, its bracket count and
+    whether every bracket held its level."""
+    ops = [op for op, _below, _max_count in requests]
+    d, e2, pivmin = fd_oracle._stacked(ops)
+    lo = np.array([fd_oracle._gershgorin_lower(op) for op in ops])
+    hi = np.array([below for _op, below, _max_count in requests])
+    totals = fd_oracle._counts_below(d, e2, hi[:, None], np.arange(len(ops)), pivmin)[:, 0]
+    owner = np.repeat(np.arange(len(ops)), totals)
+    edges = _edges(lo, hi)[owner]
+    wanted = np.concatenate([np.arange(1, total + 1) for total in totals])[:, None]
+    upper_edges = fd_oracle._upper_edges
+    holds = _check_sweep(upper_edges, d, e2, edges, owner, pivmin, wanted)
+    checked = [(owner.size, bool(holds.all()))]
+
+    def checking(d, e2, edges, owner, pivmin, wanted):
+        holds = _check_sweep(upper_edges, d, e2, edges, owner, pivmin, wanted)
+        checked.append((owner.size, bool(holds.all())))
+        return upper_edges(d, e2, edges, owner, pivmin, wanted)
+
+    with mock.patch.object(fd_oracle, "_upper_edges", checking):
+        evs = fd_oracle.bound_state_eigenvalues_batch(requests)
+    return evs, checked
+
+
+def test_two_stage_pick_equals_the_full_scan_at_every_sweep_of_the_spectra_batch():
+    evs, checked = _solve_checking_every_sweep(_spectra_requests())
+    assert evs == fd_oracle.bound_state_eigenvalues_batch(_spectra_requests())
+    assert checked[0] == (21, True) and len(checked) > 2
+    assert all(held for _brackets, held in checked)
+
+
+def test_two_stage_pick_equals_the_full_scan_on_41_brackets():
+    # `oracle --l 40`: the grid resolves 41 levels below the ceiling
+    fam = PoschlTeller(40)
+    evs, checked = _solve_checking_every_sweep(
+        [(discretize(fam.tanh_poly(), GRID), fam.fd_ceiling, 43)])
+    assert len(evs[0]) == 41 and set(checked) == {(41, True)}
+
+
+@st.composite
+def planted_sweeps(draw):
+    """A small tridiagonal operator, brackets [lo, hi] with indices, and a zero
+    pivot planted at an interior edge j of the first bracket: lo and hi are
+    chosen so that lo + (hi - lo) * (j / 64) is exactly the planted shift s."""
+    rows = draw(st.integers(2, 24))
+    d = np.array(draw(st.lists(sturm_values, min_size=rows, max_size=rows)))[:, None]
+    e2 = np.array(draw(st.lists(st.floats(0.0, 20.0) | st.integers(0, 2).map(float),
+                                min_size=rows - 1, max_size=rows - 1)))[:, None]
+    brackets = draw(st.integers(1, 12))
+    s = np.array(draw(st.lists(st.integers(-20, 20), min_size=brackets,
+                               max_size=brackets)), dtype=float)
+    j = np.array(draw(st.lists(st.integers(1, 63), min_size=brackets, max_size=brackets)))
+    unit = 2.0 ** np.array(draw(st.lists(st.integers(-4, 3), min_size=brackets,
+                                         max_size=brackets)))
+    edges = _edges(s - j * unit, s + (64 - j) * unit)
+    assert edges[np.arange(brackets), j].tolist() == s.tolist()
+    owner = np.zeros(brackets, np.intp)
+    _plant_zero_pivot(d, e2, edges[:, j[0]:], owner, 0, draw(st.integers(1, rows - 1)), s[0])
+    op = TridiagonalOperator(d[:, 0], np.sqrt(e2[:, 0]))  # 0 and 1 square back exactly
+    wanted = np.array(draw(st.lists(st.integers(1, rows), min_size=brackets,
+                                    max_size=brackets)))[:, None]
+    return op, edges, owner, wanted
+
+
+@given(planted_sweeps())
+@settings(max_examples=100, deadline=None)
+def test_two_stage_pick_equals_the_full_scan_on_small_tridiagonals(case):
+    op, edges, owner, wanted = case
+    d, e2, pivmin = fd_oracle._stacked([op])
+    _check_sweep(fd_oracle._upper_edges, d, e2, edges, owner, pivmin, wanted)
+    # and the whole solver on the operator, every level below a ceiling past its
+    # spectrum; a level exactly at the Gershgorin bound counts as below it, so
+    # here a bracket need not hold its level
+    ceiling = float(np.max(op.diagonal) + 2.0 * np.max(np.abs(op.off_diagonal), initial=0.0)) + 1.0
+    evs, _checked = _solve_checking_every_sweep([(op, ceiling, op.size)])
+    assert len(evs[0]) == op.size
+    for threshold in (math.inf, 0):
+        with mock.patch.object(fd_oracle, "TWO_STAGE_BRACKETS", threshold):
+            assert bound_state_eigenvalues(op, ceiling, op.size) == evs[0]
+
+
+def _count_shapes(requests):
+    """The shapes of the shifts that reach _counts_below while solving requests."""
+    shapes = []
+    counts_below = fd_oracle._counts_below
+
+    def recording(d, e2, shifts, owner, pivmin):
+        shapes.append(shifts.shape)
+        return counts_below(d, e2, shifts, owner, pivmin)
+
+    with mock.patch.object(fd_oracle, "_counts_below", recording):
+        fd_oracle.bound_state_eigenvalues_batch(requests)
+    return shapes
+
+
+def test_sweeps_count_in_two_stages_only_while_enough_brackets_are_live():
+    shapes = _count_shapes(_spectra_requests())
+    assert shapes[0] == (8, 64)  # each well's 63 shifts and its ceiling
+    later, two_stage = iter(shapes[1:]), 0
+    for brackets, width in later:
+        if brackets >= fd_oracle.TWO_STAGE_BRACKETS:
+            assert width == 7 and next(later) == (brackets, 7)
+            two_stage += 1
+        else:
+            assert width == 63
+    assert two_stage > 0
+    # a lone one-level well stays on one 63-shift pass per sweep
+    shapes = _count_shapes([(discretize(PoschlTeller(1).tanh_poly(), GRID), -1e-6, 3)])
+    assert shapes[0] == (1, 64) and len(shapes) > 1 and set(shapes[1:]) == {(1, 63)}
+
+
 def test_grid_convergence_is_second_order():
     errors = {}
     for points in (1001, 2001):
