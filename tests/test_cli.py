@@ -927,6 +927,37 @@ def test_sweep_golden(command, exit_code, sha, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
+# sha256 of the exact stdout, and the exit code, of `eigenfunction` (a sech
+# level, the threshold state, a tilted level with and without --z) and of
+# `scatter` (README's two runs and a tilted well), taken while each runner
+# built its own well again after parse_command had admitted it
+RUNNER_GOLDEN = [
+    ("eigenfunction --family poschl-teller --l 5 --n 2 --z 0.3", 0,
+     "262d1b12f7fd0e98fa00afff46a753ed4c88621e0c760ae4f3e4cef756501aa4"),
+    ("eigenfunction --family poschl-teller --l 4 --n 4 --z 0.3", 0,
+     "3f001d792dd12f55c445fed3f1c8847fd15e992de3dc8cd2a830226d92dbc4e3"),
+    ("eigenfunction --family rosen-morse --nprime 2 --B 1/2 --n 0 --z 0.0", 0,
+     "ebb9ad74638e1fa7cb9e8f67d6744eedff41df36c92451982d9378a1ead1f66d"),
+    ("eigenfunction --family rosen-morse --nprime 2 --B 1/2 --n 0", 0,
+     "4a00531ee6b95702bb6aae2c990e7917bb7bc06eb9b6ee691818e32801939dab"),
+    ("scatter --family poschl-teller --l 2 --k 1", 0,
+     "7db436bb90daed3a04c5f0703baba686e1a96993edd8d2d16aa3485eb9d60ab0"),
+    ("scatter --l 7/4 --k 0.25 --scatter-half-width 15 --scatter-step 2e-3", 0,
+     "b2e6bb7d2f7829596121321323cfe4982e4ccf242bdf9868164de3ea14e8ab3f"),
+    ("scatter --family rosen-morse --nprime 2 --k 1", 0,
+     "3c424796ab258eff6cd42555862de9e269ca996a9c4e1d122a6bee85cf3f027b"),
+]
+
+
+@pytest.mark.parametrize("command,exit_code,sha", RUNNER_GOLDEN,
+                         ids=[command.replace(" --", "-").replace(" ", "")
+                              for command, _code, _sha in RUNNER_GOLDEN])
+def test_runner_golden(command, exit_code, sha, capsys):
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 # sha256 of the exact stdout, and the exit code, of `map` and `deformed`,
 # taken when each scalar map function had its own copy of the formula and
 # `deformed` its own chart test; `verify deformed` re-taken when its echo
