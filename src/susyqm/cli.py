@@ -116,6 +116,7 @@ class UsageError(ValueError):
 class Command:
     subcommand: str
     parameters: dict
+    well: PoschlTeller | RosenMorseII | None  # the admitted well of --family
     fmt: str
     output: str | None
 
@@ -241,14 +242,7 @@ def parse_command(argv: list[str]) -> Command:
         well = _admit(sub, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    for what, size in _request_sizes(sub, params, well):
-        if size > SIZE_CAP:
-            try:
-                size_text = f"{float(size):.4g}"
-            except OverflowError:  # an int past the double range
-                size_text = f"{Decimal(size):.4g}"
-            raise UsageError(f"{size_text} {what} requested, above the size cap of {SIZE_CAP}")
-    return Command(subcommand=sub, parameters=params, fmt=fmt, output=args.output)
+    return Command(subcommand=sub, parameters=params, well=well, fmt=fmt, output=args.output)
 
 
 def _reads(sub: str, params: dict) -> dict:
@@ -266,44 +260,51 @@ SCATTER_NAMES = {"k": "wavenumber", "scatter_half_width": "half width", "scatter
 
 
 def _admit(sub: str, params: dict) -> PoschlTeller | RosenMorseII | None:
-    """Build and check everything the resolved parameters name, without
-    allocating any grid or lattice: the well and its level n, a finite --gamma
+    """Build, check and budget everything the resolved parameters name, without
+    allocating any grid or lattice: the well of --family (the ultraspherical
+    family is the sech well it reduces to) and its level n, a finite --gamma
     and --z, the map's chart, the grid and the scattering parameters.  A value
-    that cannot run raises ValueError.  Returns the well of --family, or None."""
-    well = _family(params) if "family" in params else None
+    that cannot run raises ValueError; after those checks, a count of levels,
+    grid points or RK4 lattice points above SIZE_CAP raises UsageError.
+    Returns the well of --family, or None."""
+    sizes = {}
+    well = None
+    family = params.get("family")
+    if family == "poschl-teller":
+        well = PoschlTeller(params["l"])
+    elif family == "gegenbauer":
+        well = PoschlTeller(spectra.gegenbauer_spectrum(params["p"], params["q"]).n_prime)
+    elif family == "rosen-morse":
+        well = RosenMorseII(params["nprime"], params["B"])
+    if sub in ("spectrum", "oracle"):
+        # levels() is range(count); .stop is count even past len()'s limit
+        sizes["levels"] = well.levels().stop
     for key in ("gamma", "z"):
         if not math.isfinite(params.get(key, 0.0)):
             raise ValueError(f"--{key} must be finite, got {params[key]!r}")
     if sub == "eigenfunction" and not well.has_state(params["n"]):
-        raise ValueError(f"level n = {params['n']} is not a state of the "
-                         f"{params['family']} well")
+        raise ValueError(f"level n = {params['n']} is not a state of the {family} well")
     if sub == "map":
         cmaps.w_of_z(params["gamma"], params["z"])  # inside the chart gamma z + 1 > 0
     if "grid_points" in params:
         grid = _grid(params)
         if sub == "deformed":
             spectra.check_deformed(params["alpha"], params["beta"], params["n"], grid)
+        sizes["grid points"] = params["grid_points"]
     if "scatter_step" in params:
         fd_oracle.require_positive_finite(
             {name: params[key] for key, name in SCATTER_NAMES.items() if key in params})
-    return well
-
-
-def _request_sizes(sub: str, params: dict, well: PoschlTeller | RosenMorseII | None = None):
-    """(what, size) of everything a command would build or march over per
-    level, grid point or RK4 lattice point, computed without allocating any of
-    it, for admitted parameters.  Grid points and the RK4 lattice count only
-    where the command reads them.  well is _family(params), if already built."""
-    if sub in ("spectrum", "oracle"):
-        # levels() is range(count); .stop is count even past len()'s limit
-        yield "levels", (well or _family(params)).levels().stop
-    if "grid_points" in params:
-        yield "grid points", params["grid_points"]
-    if "scatter_step" in params:
-        half_width = params["scatter_half_width"]
-        step = params["scatter_step"]
         # the step-halving check marches twice the steps of 2 * half_width / step
-        yield "RK4 lattice points", 8.0 * half_width / step + 1.0
+        half_width, step = params["scatter_half_width"], params["scatter_step"]
+        sizes["RK4 lattice points"] = 8.0 * half_width / step + 1.0
+    for what, size in sizes.items():
+        if size > SIZE_CAP:
+            try:
+                size_text = f"{float(size):.4g}"
+            except OverflowError:  # an int past the double range
+                size_text = f"{Decimal(size):.4g}"
+            raise UsageError(f"{size_text} {what} requested, above the size cap of {SIZE_CAP}")
+    return well
 
 
 # ----------------------------------------------------------------------------
@@ -312,16 +313,6 @@ def _request_sizes(sub: str, params: dict, well: PoschlTeller | RosenMorseII | N
 
 def _grid(params: dict) -> fd_oracle.Grid:
     return fd_oracle.Grid(params["grid_min"], params["grid_max"], params["grid_points"])
-
-
-def _family(params: dict) -> PoschlTeller | RosenMorseII:
-    """The well of --family; the ultraspherical family is the sech well it reduces to."""
-    family = params["family"]
-    if family == "poschl-teller":
-        return PoschlTeller(params["l"])
-    if family == "gegenbauer":
-        return PoschlTeller(spectra.gegenbauer_spectrum(params["p"], params["q"]).n_prime)
-    return RosenMorseII(params["nprime"], params["B"])
 
 
 def check(check_id: str, computed=None, expected="zero", tolerance="exact",
@@ -528,8 +519,7 @@ def _fd_record(check_id: str, exact: list[float], evs: list[float], tol: float) 
     if len(evs) != len(exact):
         return check(check_id, f"{len(evs)} FD levels, {len(exact)} closed-form", 0.0, tol,
                      "fd-oracle", passed=False)
-    worst = _worst(np.subtract(evs, exact))
-    return check(check_id, worst, 0.0, tol, "fd-oracle", passed=worst <= tol)
+    return check(check_id, _worst(np.subtract(evs, exact)), 0.0, tol, "fd-oracle")
 
 
 def checks_spectra(params: dict) -> list[dict]:
@@ -645,9 +635,9 @@ def _spectrum_rows(fam: PoschlTeller | RosenMorseII) -> list[dict]:
     return rows
 
 
-def run_spectrum(params: dict) -> dict:
+def run_spectrum(params: dict, well: PoschlTeller | RosenMorseII) -> dict:
     """Closed-form bound levels of a family."""
-    body = {"entries": _spectrum_rows(_family(params))}
+    body = {"entries": _spectrum_rows(well)}
     if params["family"] == "gegenbauer":
         red = spectra.gegenbauer_spectrum(params["p"], params["q"])
         body.update(n_prime=str(red.n_prime), m_prime=str(red.m_prime),
@@ -656,12 +646,11 @@ def run_spectrum(params: dict) -> dict:
     return body
 
 
-def run_eigenfunction(params: dict) -> dict:
+def run_eigenfunction(params: dict, well: PoschlTeller | RosenMorseII) -> dict:
     """Closed-form bound state, exact coefficients."""
-    fam = _family(params)
-    wave = fam.eigenfunction(params["n"])
-    energy = fam.energy(params["n"])
-    residual_zero = eigen_residual_symbolic(wave, fam.tanh_poly(), energy).is_zero
+    wave = well.eigenfunction(params["n"])
+    energy = well.energy(params["n"])
+    residual_zero = eigen_residual_symbolic(wave, well.tanh_poly(), energy).is_zero
     return {
         "wave": _wave_payload(wave, params.get("z")),
         "energy": float(energy),
@@ -693,9 +682,9 @@ def run_map(params: dict) -> dict:
     }
 
 
-def run_scatter(params: dict) -> dict:
+def run_scatter(params: dict, well: PoschlTeller | RosenMorseII) -> dict:
     """Reflection/transmission at wavenumber k."""
-    res = fd_oracle.scattering_amplitudes(_family(params).tanh_poly(), params["k"],
+    res = fd_oracle.scattering_amplitudes(well.tanh_poly(), params["k"],
                                           params["scatter_half_width"], params["scatter_step"])
     return {
         "R2": res.r2,
@@ -715,11 +704,10 @@ def run_scatter(params: dict) -> dict:
     }
 
 
-def run_oracle(params: dict) -> dict:
+def run_oracle(params: dict, well: PoschlTeller | RosenMorseII) -> dict:
     """Finite-difference eigenvalues vs closed form."""
-    fam = _family(params)
     tol = params["tol"]
-    [(levels, exact, evs)] = _fd_vs_closed_form([fam], _grid(params))
+    [(levels, exact, evs)] = _fd_vs_closed_form([well], _grid(params))
     checks = [check("fd-level-count", len(evs), len(levels), 0, "fd-oracle")]
     rows = []
     # levels is range(count), so the n-th FD eigenvalue pairs with level n;
@@ -772,8 +760,10 @@ def _collect_checks(body: dict) -> list[dict]:
 
 
 def execute_command(cmd: Command) -> tuple[dict, int]:
-    """Run a parsed command; returns (report, exit_code)."""
-    body = RUNNERS[cmd.subcommand](cmd.parameters)
+    """Run a parsed command; returns (report, exit_code).  A family command's
+    runner also takes the well parse_command admitted."""
+    runner = RUNNERS[cmd.subcommand]
+    body = runner(cmd.parameters) if cmd.well is None else runner(cmd.parameters, cmd.well)
     checks = _collect_checks(body)
     status = "pass" if all(c["pass"] for c in checks) else "fail"
     report = {

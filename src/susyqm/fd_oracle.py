@@ -48,8 +48,10 @@ from .potentials import TanhPoly, potential_values
 
 BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200  # multisection sweeps
-MULTISECTION_SHIFTS = 63
 STAGE = 8  # a two-stage sweep counts every 8th of the 65 edges, then the 7 inside one eighth
+# interior shifts of a sweep: STAGE ** 2 sub-intervals, so that two stages of
+# STAGE - 1 shifts each pick the same one as a full scan
+MULTISECTION_SHIFTS = STAGE * STAGE - 1
 # the fewest live brackets for which a sweep counts in two stages: solving one
 # sech well of 2001 points, two stages took 1.59x the time of one pass with 1
 # bracket and 1.06x with 5, broke even with 6 (0.98x) and won from 7 (0.86x)
@@ -208,19 +210,17 @@ def _gershgorin_lower(op: TridiagonalOperator) -> float:
 
 
 def bound_state_eigenvalues(op: TridiagonalOperator, below: float,
-                            max_count: int, tol: float = BISECTION_TOL,
-                            max_iter: int = BISECTION_MAX_ITER) -> list[float]:
+                            max_count: int) -> list[float]:
     """All eigenvalues of one operator below a threshold, ascending.
 
     The batch of one: bound_state_eigenvalues_batch gives the method, the
     stopping rule and the errors.
     """
-    return bound_state_eigenvalues_batch([(op, below, max_count)], tol, max_iter)[0]
+    return bound_state_eigenvalues_batch([(op, below, max_count)])[0]
 
 
-def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, float, int]],
-                                  tol: float = BISECTION_TOL,
-                                  max_iter: int = BISECTION_MAX_ITER) -> list[list[float]]:
+def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, float, int]]
+                                  ) -> list[list[float]]:
     """Eigenvalues below a threshold for several operators of one size, by multisection.
 
     Each request is (operator, below, max_count); the result lists, in request
@@ -246,12 +246,12 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
     lo + width * (j / 64) for j = 1..63, with lo and hi, in both cases.
 
     An operator's brackets leave the batch together, at the start of the
-    first sweep in which none of them is wider than max(tol, two ulps);
-    until then all of them keep narrowing.  This is the stopping rule
+    first sweep in which none of them is wider than max(BISECTION_TOL, two
+    ulps); until then all of them keep narrowing.  This is the stopping rule
     of an operator run alone, so each result is the same to the bit whatever
     else is in the batch.  Finding more than max_count eigenvalues for an
-    operator, or one still unconverged after max_iter sweeps, raises instead
-    of returning an unconverged answer.
+    operator, or one still unconverged after BISECTION_MAX_ITER sweeps,
+    raises instead of returning an unconverged answer.
     """
     ops = [op for op, _below, _max_count in requests]
     results: list[list[float]] = [[] for _ in ops]
@@ -287,10 +287,10 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
     his = np.repeat(hi, totals)
     wanted = np.concatenate([np.arange(1, total + 1) for total in totals.tolist()])[:, None]
     counts = np.repeat(first_counts[:, :-1], totals, axis=0)
-    for sweep in range(max_iter + 1):
+    for sweep in range(BISECTION_MAX_ITER + 1):
         width = his - los
         floor = 2.0 * np.spacing(np.maximum(np.abs(los), np.abs(his)))
-        converged = width <= np.maximum(tol, floor)  # False for a NaN width
+        converged = width <= np.maximum(BISECTION_TOL, floor)  # False for a NaN width
         unconverged = np.bincount(owner[~converged], minlength=len(ops))
         leaving = unconverged[owner] == 0
         if leaving.any():
@@ -302,10 +302,10 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
                 a[staying] for a in (owner, los, his, width, wanted, counts))
             if not owner.size:
                 return results
-        if sweep == max_iter:
+        if sweep == BISECTION_MAX_ITER:
             raise NumericalError(
-                f"eigenvalue brackets did not reach {tol:.1e} in {max_iter} multisection "
-                f"sweeps; widest is {float(np.max(width[owner == owner[0]])):.3e}"
+                f"eigenvalue brackets did not reach {BISECTION_TOL:.1e} in "
+                f"{BISECTION_MAX_ITER} multisection sweeps; widest is {float(np.max(width[owner == owner[0]])):.3e}"
             )
         # edges[:, j] for j = 0..S+1 run from lo through the S shifts to hi
         edges = np.empty((owner.size, MULTISECTION_SHIFTS + 2))

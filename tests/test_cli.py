@@ -675,10 +675,13 @@ def test_scatter_step_is_not_budgeted_where_unused(tmp_path):
     ["spectrum", "--family", "rosen-morse", "--nprime", "30", "--B", "20"],
     ["spectrum", "--family", "gegenbauer", "--p", "2", "--q", "3/2"],
 ])
-def test_defaults_stay_far_below_size_cap(argv):
-    cmd = parse_command(argv)
-    sizes = [size for _what, size in cli._request_sizes(cmd.subcommand, cmd.parameters)]
-    assert sizes and max(sizes) <= cli.SIZE_CAP / 10
+def test_defaults_stay_far_below_size_cap(argv, monkeypatch):
+    # admitted under a tenth of the cap, and budgeted at all: rejected under a cap of 0
+    monkeypatch.setattr(cli, "SIZE_CAP", cli.SIZE_CAP // 10)
+    parse_command(argv)
+    monkeypatch.setattr(cli, "SIZE_CAP", 0)
+    with pytest.raises(cli.UsageError, match=r"requested, above the size cap of 0$"):
+        parse_command(argv)
 
 
 fuzz_rationals = st.builds(lambda num, den: str(Fraction(num, den)),
@@ -1422,14 +1425,38 @@ def test_config_missing_file(capsys):
 
 
 def test_execute_command_direct():
+    admitted = parse_command(["spectrum", "--family", "poschl-teller", "--l", "1"])
     cmd = Command(subcommand="spectrum",
                   parameters={"family": "poschl-teller", "l": Fraction(1)},
-                  fmt="json", output=None)
+                  well=admitted.well, fmt="json", output=None)
     report, code = execute_command(cmd)
     assert code == 0
     assert report["entries"][0] == {"n": 0, "energy": -1.0, "kind": "bound"}
     assert render_json(report).endswith("\n")
     assert render_csv(report).splitlines()[-1] == "1,0.0,threshold"
+
+
+RM = ["--family", "rosen-morse", "--nprime", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *PT, "--l", "2"],
+    ["spectrum", *RM, "--B", "1/2"],
+    ["spectrum", "--family", "gegenbauer", "--p", "2", "--q", "3/2"],
+    ["eigenfunction", *PT, "--l", "2", "--n", "1"],
+    ["eigenfunction", *RM, "--n", "0", "--z", "0.5"],
+    ["scatter", *PT, "--l", "2", "--k", "1"],
+    ["scatter", *RM, "--k", "1"],
+    ["oracle", *PT, "--l", "2"],
+    ["oracle", *RM, "--B", "1/2"],
+], ids=" ".join)
+def test_family_command_builds_its_well_once(argv, monkeypatch, capsys):
+    built = []
+    for name in ("PoschlTeller", "RosenMorseII"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, cls=getattr(cli, name):
+                            built.append(name) or cls(*args))
+    assert run(argv, capsys)[0] == 0
+    assert built == ["RosenMorseII" if "rosen-morse" in argv else "PoschlTeller"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -198,13 +198,15 @@ def test_eigenvalues_are_bracketed_by_sturm_counts(index):
     assert _counts(op, shifts) == _reference_counts(op, shifts) == expected
 
 
-def test_exhausted_sweep_cap_raises():
+def test_exhausted_sweep_cap_raises(monkeypatch):
     op = discretize(PoschlTeller(3).tanh_poly(), GRID)
     for max_iter in (0, 1, 5):
+        monkeypatch.setattr(fd_oracle, "BISECTION_MAX_ITER", max_iter)
         with pytest.raises(NumericalError, match="multisection"):
-            bound_state_eigenvalues(op, below=-1e-6, max_count=5, max_iter=max_iter)
+            bound_state_eigenvalues(op, below=-1e-6, max_count=5)
     # the first bracket, [-12, 0], needs seven sweeps of 64 sub-intervals to reach 1e-10
-    assert len(bound_state_eigenvalues(op, below=-1e-6, max_count=5, max_iter=7)) == 3
+    monkeypatch.setattr(fd_oracle, "BISECTION_MAX_ITER", 7)
+    assert len(bound_state_eigenvalues(op, below=-1e-6, max_count=5)) == 3
 
 
 def test_tolerance_below_float_spacing_converges():
@@ -267,13 +269,15 @@ def test_batch_max_count_overflow_in_later_member():
     assert str(batched.value) == str(alone.value)
 
 
-def test_batch_sweep_cap():
+def test_batch_sweep_cap(monkeypatch):
     requests = _spectra_requests()
+    full = fd_oracle.bound_state_eigenvalues_batch(requests)
     for max_iter in (0, 1, 5):
+        monkeypatch.setattr(fd_oracle, "BISECTION_MAX_ITER", max_iter)
         with pytest.raises(NumericalError, match="multisection"):
-            fd_oracle.bound_state_eigenvalues_batch(requests, max_iter=max_iter)
-    assert fd_oracle.bound_state_eigenvalues_batch(requests, max_iter=7) == (
-        fd_oracle.bound_state_eigenvalues_batch(requests))
+            fd_oracle.bound_state_eigenvalues_batch(requests)
+    monkeypatch.setattr(fd_oracle, "BISECTION_MAX_ITER", 7)
+    assert fd_oracle.bound_state_eigenvalues_batch(requests) == full
 
 
 def test_batch_rejects_operators_of_different_sizes():

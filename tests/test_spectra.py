@@ -10,7 +10,7 @@ from susyqm import (
     eigen_residual_symbolic, gamma_deformed_residual, gegenbauer_spectrum,
     ladder_chain, proportionality_constant,
 )
-from susyqm.cli import run_spectrum
+from susyqm.cli import parse_command, run_spectrum
 
 HALF = Fraction(1, 2)
 
@@ -19,9 +19,15 @@ HALF = Fraction(1, 2)
 # sech-well tower
 
 
-def spectrum_rows(**params):
+def spectrum(**flags):
+    """The `spectrum` report of --key=value flags, run on the well parse_command admits."""
+    cmd = parse_command(["spectrum", *(f"--{key}={value}" for key, value in flags.items())])
+    return run_spectrum(cmd.parameters, cmd.well)
+
+
+def spectrum_rows(**flags):
     """(n, energy, kind) of each row of a `spectrum` report."""
-    return [(e["n"], e["energy"], e["kind"]) for e in run_spectrum(params)["entries"]]
+    return [(e["n"], e["energy"], e["kind"]) for e in spectrum(**flags)["entries"]]
 
 
 def test_pt_spectrum_integer_depth():
@@ -185,9 +191,8 @@ def test_gegenbauer_spectrum_examples():
 
 def test_gegenbauer_spectrum_delegates_to_sech_tower():
     red = gegenbauer_spectrum(3, Fraction(5, 2))
-    report = run_spectrum({"family": "gegenbauer", "p": 3, "q": Fraction(5, 2)})
-    assert report["entries"] \
-        == run_spectrum({"family": "poschl-teller", "l": red.n_prime})["entries"]
+    report = spectrum(family="gegenbauer", p=3, q=Fraction(5, 2))
+    assert report["entries"] == spectrum(family="poschl-teller", l=red.n_prime)["entries"]
     assert red.target_energy == PoschlTeller(red.n_prime).energy(3) == -(red.m_prime ** 2)
     assert (report["target_level"], report["target_energy"]) == (3, -float(red.m_prime ** 2))
 
