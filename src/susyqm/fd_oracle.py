@@ -304,8 +304,8 @@ def bound_state_eigenvalues_batch(requests: list[tuple[TridiagonalOperator, floa
                 return results
         if sweep == BISECTION_MAX_ITER:
             raise NumericalError(
-                f"eigenvalue brackets did not reach {BISECTION_TOL:.1e} in "
-                f"{BISECTION_MAX_ITER} multisection sweeps; widest is {float(np.max(width[owner == owner[0]])):.3e}"
+                f"eigenvalue brackets did not reach {BISECTION_TOL:.1e} in {BISECTION_MAX_ITER} "
+                f"multisection sweeps; widest is {float(np.max(width[owner == owner[0]])):.3e}"
             )
         # edges[:, j] for j = 0..S+1 run from lo through the S shifts to hi
         edges = np.empty((owner.size, MULTISECTION_SHIFTS + 2))
