@@ -14,7 +14,9 @@ numerical failure (any other failure after that); failure_status decides.
 
 Grid, tolerance and scattering defaults may be placed in a key = value config
 file named by --config or the SUSYQM_CONFIG environment variable; command-line
-flags override file values.
+flags override file values.  `deformed` takes neither the grid nor tol from
+the file: without grid flags it derives its grid from --alpha and --beta, and
+its tol defaults to its own 1e-5 bound, not the FD oracle's.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ def _parser() -> argparse.ArgumentParser:
 def parse_command(argv: list[str]) -> Command:
     """Parse argv, resolve every parameter the subcommand reads and admit it.
 
-    Flags win over config-file values, which win over built-in defaults.  This
+    Flags win over config-file values, which win over built-in defaults;
+    `deformed` takes its grid and tol from flags or its own defaults only.  This
     is the only place a parameter gets its value: runners and check sections
     read params[key] and never write to params, so the report's echo is the
     resolved set.  Every value the argv names is built and checked here, by
@@ -780,13 +783,7 @@ def execute_command(cmd: Command) -> tuple[dict, int]:
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def render_json(report: dict) -> str:

@@ -79,7 +79,7 @@ def chart_interval(gamma: float) -> tuple[float, float]:
 
 
 def chart_grid(gamma: float, z_min: float, z_max: float, points: int,
-               margin_scale: float = 1e-6) -> np.ndarray:
+               margin_scale: float) -> np.ndarray:
     """Uniform grid on [z_min, z_max] clipped into the chart.
 
     The singular endpoint -1/gamma is inset by margin_scale*|1/gamma| so

@@ -354,7 +354,6 @@ class ScatteringResult:
     and rk4_steps, the step counts (coarse, fine) of the two marches.
     """
 
-    k: float
     r2: float
     t2: float
     flux_defect: float
@@ -608,7 +607,7 @@ def scattering_amplitudes(v: TanhPoly, k: float,
         raise NumericalError(
             f"flux conservation violated: 1 - (|R|^2 + |T|^2) = {flux_defect:.3e}"
         )
-    return ScatteringResult(k=k, r2=r2, t2=t2, flux_defect=flux_defect,
+    return ScatteringResult(r2=r2, t2=t2, flux_defect=flux_defect,
                             half_width=half_width, step=0.5 * h,
                             step_halving_drift=drift, rk4_steps=(n_steps, 2 * n_steps))
 

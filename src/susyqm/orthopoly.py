@@ -198,6 +198,7 @@ def check_gegenbauer_identity(p: int, q) -> Fraction:
     n_tot = q + p - Fraction(1, 2)
     m_tot = q - Fraction(1, 2)
     shift = (1 - 2 * q) / 4
-    lhs = assoc_legendre(int(n_tot), int(m_tot)).shift_weight(shift, shift)
+    w = assoc_legendre(int(n_tot), int(m_tot))
+    lhs = HypWave(w.a + shift, w.b + shift, w.poly, w.prefactor)
     rhs = HypWave(0, 0, gegenbauer_poly(p, q))
     return proportionality_constant(lhs, rhs)

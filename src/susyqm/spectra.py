@@ -19,7 +19,7 @@ from .coordinate_maps import GAMMA_SWITCH, w_of_z
 from .orthopoly import jacobi_poly, jacobi_values
 from .tanh_algebra import HypWave, as_fraction
 
-if TYPE_CHECKING:  # fd_oracle and potentials import this module
+if TYPE_CHECKING:  # potentials imports this module, and fd_oracle imports potentials
     from .fd_oracle import Grid
     from .potentials import RosenMorseII
 

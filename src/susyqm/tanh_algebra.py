@@ -193,18 +193,6 @@ class TanhPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "TanhPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = TanhPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def derivative(self) -> "TanhPoly":
         """d/dt, exact."""
         return TanhPoly._from_ints([i * v for i, v in enumerate(self._prim)][1:],
@@ -302,7 +290,8 @@ class HypWave:
       * poly is integer-primitive with positive leading coefficient, the
         content living in prefactor.
     Equality of canonical forms is therefore equality of functions.
-    a = b = m/2 with poly = 1 is sech^m z.
+    a = b = m/2 with poly = 1 is sech^m z.  A wave has no arithmetic of its
+    own: operators act on poly at fixed weight exponents (_d_poly).
     """
 
     a: Fraction
@@ -336,45 +325,6 @@ class HypWave:
     @property
     def is_zero(self) -> bool:
         return self.prefactor == 0
-
-    def __neg__(self) -> "HypWave":
-        return HypWave(self.a, self.b, self.poly, -self.prefactor)
-
-    def __mul__(self, c) -> "HypWave":
-        return HypWave(self.a, self.b, self.poly, self.prefactor * as_fraction(c))
-
-    __rmul__ = __mul__
-
-    def shift_weight(self, da, db) -> "HypWave":
-        """Multiply by (1-t)^da (1+t)^db; exponent bookkeeping only."""
-        return HypWave(self.a + as_fraction(da), self.b + as_fraction(db),
-                       self.poly, self.prefactor)
-
-    def __add__(self, other: "HypWave") -> "HypWave":
-        if not isinstance(other, HypWave):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a = min(self.a, other.a)
-        b = min(self.b, other.b)
-        shifts = (self.a - a, self.b - b, other.a - a, other.b - b)
-        if any(s.denominator != 1 for s in shifts):
-            raise ValueError(
-                "cannot add waves whose weight exponents differ by non-integers"
-            )
-        one_minus_t = TanhPoly((1, -1))
-        one_plus_t = TanhPoly((1, 1))
-
-        def lifted(w: HypWave, da: Fraction, db: Fraction) -> TanhPoly:
-            return (w.prefactor * w.poly) * one_minus_t ** int(da) * one_plus_t ** int(db)
-
-        total = lifted(self, shifts[0], shifts[1]) + lifted(other, shifts[2], shifts[3])
-        return HypWave(a, b, total)
-
-    def __sub__(self, other: "HypWave") -> "HypWave":
-        return self + (-other)
 
 
 _LN2 = math.log(2.0)

@@ -346,6 +346,21 @@ def test_verify_section_leaves_unread_grid_and_tol_of_the_config(tmp_path):
     assert (params["grid_points"], params["tol"]) == (3, 0.0)
 
 
+def test_deformed_takes_neither_grid_nor_tol_from_the_config(tmp_path):
+    # the exception to flags over config over defaults: deformed derives its grid
+    # from --alpha and --beta and keeps its own 1e-5 bound, since the config's tol
+    # is the FD oracle's criterion; a flag still wins
+    cfg = tmp_path / "susyqm.conf"
+    cfg.write_text("tol = 0.5\ngrid_points = 5001\n")
+    argv = ["deformed", "--alpha", "1", "--beta", "2", "--config", str(cfg)]
+    params = parse_command(argv).parameters
+    assert (params["tol"], params["grid_points"]) == (1e-5, 8501)
+    assert parse_command([*argv, "--tol", "0.5"]).parameters["tol"] == 0.5
+    oracle = parse_command(["oracle", "--family", "poschl-teller", "--l", "2",
+                            "--config", str(cfg)]).parameters
+    assert (oracle["tol"], oracle["grid_points"]) == (0.5, 5001)
+
+
 UNREAD_FAMILY_FLAGS = [
     (["spectrum", "--family", "poschl-teller", "--l", "2", "--nprime", "3"],
      "spectrum --family poschl-teller does not read --nprime"),

@@ -54,11 +54,11 @@ def test_chart_interval():
 
 
 def test_chart_grid_insets_singular_edge():
-    zg = chart_grid(2.0, -10.0, 3.0, 500)
+    zg = chart_grid(2.0, -10.0, 3.0, 500, margin_scale=1e-6)
     assert zg[0] > -0.5
     assert zg[-1] == 3.0
     with pytest.raises(ChartDomainError):
-        chart_grid(2.0, -10.0, -0.6, 100)
+        chart_grid(2.0, -10.0, -0.6, 100, margin_scale=1e-6)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import rationals
 from susyqm import (
-    ClosedFormSuperpotential, Grid, PoschlTeller, RosenMorseII, TanhPoly, discretize,
+    ClosedFormSuperpotential, Grid, HypWave, PoschlTeller, RosenMorseII, TanhPoly, discretize,
     eigen_residual_symbolic, partner_potentials, riccati_residual,
     shape_invariance_remainder, si_level_energy,
 )
@@ -135,4 +135,5 @@ def test_partners_share_every_level_but_the_ground_state(k, s):
             assert eigen_residual_symbolic(a_psi, pair.v2, energy).is_zero
             off = energy + Fraction(1, 1000)
             assert not eigen_residual_symbolic(a_psi, pair.v2, off).is_zero
-        assert w.apply_a_dagger(a_psi) == energy * psi
+        assert w.apply_a_dagger(a_psi) == HypWave(psi.a, psi.b, psi.poly,
+                                                  energy * psi.prefactor)
